@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .greens import build_tables
 from .guidance import fixed_point_guidance, linear_guidance, pwc_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import MODE_NAMES, ExperimentConfig, load_config, preset, validate_config
 from .score import ScoreContext, marginal_density
-from .simulate import SimConfig, run_bridge
+from .simulate import SimConfig, run_bridge, tables_for_mode
 
 __all__ = ["main", "run_experiment"]
 
@@ -67,17 +66,15 @@ def _sim_config(config: ExperimentConfig, mode: str, sweep_value=None, **extra) 
     )
 
 
-def _affine_fit_rows(mode: str, report, sim_cfg: SimConfig):
+def _affine_fit_rows(mode: str, report, sim_cfg: SimConfig, tables):
     """Least-squares fit u ~ -S x - s per time slice, with R^2 (1-d runs)."""
-    guidance_mode = sim_cfg.guidance_mode
-    from .simulate import guidance_for_mode
-
-    tables = build_tables(sim_cfg.schedule, guidance_for_mode(sim_cfg).pwc_values(sim_cfg.schedule), sim_cfg.n_steps)
     ctx = ScoreContext(tables, sim_cfg.target, sim_cfg.initial)
+    times = sorted(report.snapshots)
+    table = ctx.coeff_table(times)
     rows = []
-    for t_s in sorted(report.snapshots):
+    for j, t_s in enumerate(times):
         X = report.snapshots[t_s]
-        u = ctx.score_batch(t_s, X, report.shifts)[:, 0]
+        u = ctx.score_batch(table.row(j), X, report.shifts)[:, 0]
         x = X[:, 0]
         A = np.column_stack([-x, -np.ones_like(x)])
         coef, *_ = np.linalg.lstsq(A, u, rcond=None)
@@ -88,11 +85,9 @@ def _affine_fit_rows(mode: str, report, sim_cfg: SimConfig):
     return rows
 
 
-def _dump_coefficients(path: Path, sim_cfg: SimConfig) -> None:
-    from .simulate import guidance_for_mode
-
-    tables = build_tables(sim_cfg.schedule, guidance_for_mode(sim_cfg).pwc_values(sim_cfg.schedule), sim_cfg.n_steps)
-    table = tables.sample(np.arange(1, sim_cfg.n_steps, max(1, sim_cfg.n_steps // 500)) / sim_cfg.n_steps)
+def _dump_coefficients(path: Path, tables) -> None:
+    n = tables.n_steps
+    table = tables.sample(np.arange(1, n, max(1, n // 500)) / n)
     d = tables.dim
     header = (["t", "a_plus", "a_minus", "b_minus", "c_minus"]
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
@@ -119,9 +114,10 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     t_wall = time.perf_counter()
     for mode in config.modes:
         sim_cfg = _sim_config(config, mode, sweep_value, snapshot_times=snap_times)
-        reports[mode] = (run_bridge(sim_cfg), sim_cfg)
+        tables = tables_for_mode(sim_cfg)
+        reports[mode] = (run_bridge(sim_cfg, tables), sim_cfg, tables)
         if dump_coefficients:
-            _dump_coefficients(out_dir / f"coefficients_{mode}.csv", sim_cfg)
+            _dump_coefficients(out_dir / f"coefficients_{mode}.csv", tables)
     wall = time.perf_counter() - t_wall
 
     n = config.n_steps
@@ -172,7 +168,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     if affine:
         rows = []
         for m in config.modes:
-            rows.extend(_affine_fit_rows(m, reports[m][0], reports[m][1]))
+            rows.extend(_affine_fit_rows(m, *reports[m]))
         _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], rows)
 
     if d > 1:
@@ -309,7 +305,6 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     initial, target = config.mixtures()
     if target.dim != 1:
         raise ConfigError("density emission is 1-d only")
-    sched = config.schedule()
     lo = float(np.min(target.means)) - 4 * max(config.target.sigmas)
     hi = float(np.max(target.means)) + 4 * max(config.target.sigmas)
     if initial is not None:
@@ -317,16 +312,11 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
         hi = max(hi, float(np.max(initial.means)) + 4 * max(config.initial.sigmas))
     xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)[:, None]
 
-    from .simulate import guidance_for_mode
-
     cols = {}
     for mode in config.modes:
-        sim_cfg = _sim_config(config, mode)
-        tables = build_tables(sim_cfg.schedule, guidance_for_mode(sim_cfg).pwc_values(sched), config.n_steps)
-        ctx = ScoreContext(tables, target, initial)
+        ctx = ScoreContext(tables_for_mode(_sim_config(config, mode)), target, initial)
         for t in times:
-            t_eval = ctx.clip_t(t)
-            cols[(mode, t)] = marginal_density(ctx, t_eval, xs)
+            cols[(mode, t)] = marginal_density(ctx, t, xs)
 
     rows = []
     for t in times:

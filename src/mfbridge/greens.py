@@ -451,7 +451,11 @@ class CoeffTables:
         return self.c_minus(t) - self.a_plus_end
 
     def sample(self, ts=None) -> dict:
-        """Dense table of every coefficient (debug dump / CSV emission)."""
+        """Every coefficient and the guidance value at the times ``ts``.
+
+        The one evaluation of the tables over many times: the score's
+        per-step table and the coefficient CSV dump both read it.
+        """
         if ts is None:
             ts = np.arange(1, self.n_steps) * self.dt
         ts = np.asarray(ts, dtype=float)
@@ -467,6 +471,7 @@ class CoeffTables:
             "lambda_plus": np.atleast_1d(self.lambda_plus(ts)),
             "lambda_x": np.atleast_1d(self.lambda_x(ts)),
             "lambda_y": np.atleast_1d(self.lambda_y(ts)),
+            "nu": np.atleast_2d(self.nu_at(ts)),
         }
 
 

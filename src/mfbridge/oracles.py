@@ -2,19 +2,21 @@
 
 Everything here is deliberately independent of the closed-form code paths it
 checks: fixed-step RK4 for the Riccati / linear coefficient ODEs, bisection
-shooting for the two-point boundary values, and log-domain Simpson quadrature
-for the bridge potential psi and its score.  Inner loops use plain floats on
+shooting for the two-point boundary values (superposition for the linear mean
+block), and log-domain Simpson quadrature for the bridge potential psi and its
+score.  Inner loops use plain floats on
 purpose; the oracles must stay cheap enough to run inside the gate suite.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .schedule import PwcSchedule, interval_of
+from .schedule import PwcSchedule
 
 __all__ = [
     "rk4_path",
@@ -77,11 +79,14 @@ def rk4_path(f, y0, t_start, t_evals, breakpoints=None, h_of_t=None):
 
 
 def _beta_lookup(schedule: PwcSchedule):
-    bp = schedule.breakpoints
-    be = schedule.betas
+    # plain-float bisection: this runs at every RK4 stage
+    bp = schedule.breakpoints.tolist()
+    be = schedule.betas.tolist()
+    last = len(be) - 1
 
     def beta_at(t: float) -> float:
-        return float(be[interval_of(schedule, min(max(t, 0.0), 1.0))])
+        i = bisect.bisect_right(bp, min(max(t, 0.0), 1.0)) - 1
+        return be[min(max(i, 0), last)]
 
     return beta_at
 
@@ -311,14 +316,13 @@ def lqg_linear_shoot(kappa: float, q: float, m_tar: float, S_half: list, m_bar: 
             m[j + 1] = mv + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
         return s, m
 
-    def objective(s0):
-        return sweep(s0)[1][-1] - m_tar
-
-    scale = 10.0 * max(1.0, abs(m_tar), abs(q) * (abs(m_bar) if m_bar is not None else abs(m_tar)))
-    lo, hi = -scale, scale
-    while objective(lo) * objective(hi) > 0 and hi < 1e8:
-        lo, hi = 4 * lo, 4 * hi
-    s0 = bisection_shoot(objective, lo, hi, tol=1e-13)
+    # the block is linear in (s, m) and so is each RK4 step: m(1) is affine
+    # in s(0), and two sweeps give the exact shot
+    m1_at_0 = sweep(0.0)[1][-1]
+    gain = sweep(1.0)[1][-1] - m1_at_0
+    if gain == 0.0:
+        raise ValueError("terminal mean does not depend on s(0); no shot exists")
+    s0 = (m_tar - m1_at_0) / gain
     s, m = sweep(s0)
     grid = np.linspace(0.0, 1.0, n + 1)
     return grid, np.array(s), np.array(m), s0

@@ -10,11 +10,15 @@ the posterior mixture estimate of the terminal point given the probe
     w(t, x) = (b(t) x + theta_y(t) - theta_plus(1)) / K(t),
     K(t)    = c(t) - a_plus(1)        (probe precision, positive inside (0,1)),
 
-i.e. a pseudo-observation of the target with noise covariance I/K.  Posterior
-responsibilities are accumulated in the log domain (K blows up near t = 1 and
-naive likelihoods underflow).  Per-component covariance work is done once in
-the eigenbasis of each component, which covers diagonal, spatial-AR(1), and
-general SPD covariances with the same O(d^2) per-particle cost.
+i.e. a pseudo-observation of the target with noise covariance I/K.  Every
+coefficient above depends on t alone, so ``ScoreContext.coeff_table`` evaluates
+them over a whole array of times at once (a simulation's step grid) and
+checks K > 0 there; ``coeffs(t)`` is its one-row case.  Posterior
+responsibilities are accumulated in the log domain and normalised after a
+max shift (K blows up near t = 1 and naive likelihoods underflow).
+Per-component covariance work is done once in the eigenbasis of each
+component, which covers diagonal, spatial-AR(1), and general SPD covariances
+with the same O(d^2) per-particle cost.
 
 Non-delta starts reduce to the zero-start problem by a per-particle shift z;
 folding the shift back into original coordinates leaves the pipeline intact
@@ -31,7 +35,7 @@ respectively, and vanish when the override equals the tabled guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import logsumexp
@@ -39,7 +43,7 @@ from scipy.special import logsumexp
 from .errors import ProbeError
 from .greens import CoeffTables
 
-__all__ = ["GaussianMixture", "ScoreContext", "ar1_covariance",
+__all__ = ["GaussianMixture", "KernelCoeffs", "ScoreContext", "ar1_covariance",
            "probe", "posterior", "score_at", "shifted_score", "marginal_density"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -135,22 +139,31 @@ class GaussianMixture:
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-@dataclass
-class _Coeffs:
-    """Scalar coefficient bundle at one (clipped) evaluation time."""
+@dataclass(frozen=True)
+class KernelCoeffs:
+    """Time-only kernel coefficients at n clipped evaluation times.
 
-    t: float
-    a: float
-    b: float
-    c: float
-    K: float
+    Scalar coefficients are (n,) arrays and vector ones (n, d).  ``row(j)``
+    is the slice at one time (scalars and (d,) vectors), which is what the
+    probe, posterior and drift take.
+    """
+
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    K: np.ndarray
     theta_x: np.ndarray
     theta_y: np.ndarray
-    a_plus: float
+    a_plus: np.ndarray
     theta_plus: np.ndarray
-    lam_x: float
-    lam_y: float
+    lam_plus: np.ndarray
+    lam_x: np.ndarray
+    lam_y: np.ndarray
     nu: np.ndarray
+
+    def row(self, j: int) -> "KernelCoeffs":
+        return KernelCoeffs(*(getattr(self, f.name)[j] for f in fields(self)))
 
 
 class ScoreContext:
@@ -177,40 +190,36 @@ class ScoreContext:
         self._evals = np.array(evals)            # (K, d)
         self._evecs = np.array(evecs)            # (K, d, d)
         self._means_eig = np.einsum("kij,kj->ki", np.swapaxes(self._evecs, 1, 2), target.means)
-        self._cache_t = None
-        self._cache = None
 
     # ------------------------------------------------------------------
-    def clip_t(self, t: float) -> float:
+    def coeff_table(self, ts) -> KernelCoeffs:
+        """Every time-only coefficient at the times ``ts``, clipped to ``t_clip``.
+
+        Raises ProbeError at the first time where the probe precision K is
+        not positive, so a bad schedule fails before any particle moves.
+        """
         lo, hi = self.tables.t_clip
-        return min(max(float(t), lo), hi)
-
-    def coeffs(self, t: float) -> _Coeffs:
-        t = self.clip_t(t)
-        if self._cache_t == t:
-            return self._cache
-        tab = self.tables
-        a = float(tab.a_minus(t))
-        b = float(tab.b_minus(t))
-        c = float(tab.c_minus(t))
-        K = c - self.a_plus_end
-        if not np.isfinite(K) or K <= 0:
-            raise ProbeError(f"probe precision {K} not positive at t={t}; schedule/anchoring inconsistency")
-        co = _Coeffs(
-            t=t, a=a, b=b, c=c, K=K,
-            theta_x=np.atleast_1d(tab.theta_x(t)),
-            theta_y=np.atleast_1d(tab.theta_y(t)),
-            a_plus=float(tab.a_plus(t)),
-            theta_plus=np.atleast_1d(tab.theta_plus(t)),
-            lam_x=float(tab.lambda_x(t)),
-            lam_y=float(tab.lambda_y(t)),
-            nu=np.atleast_1d(tab.nu_at(t)),
+        ts = np.clip(np.atleast_1d(np.asarray(ts, dtype=float)), lo, hi)
+        tab = self.tables.sample(ts)
+        K = tab["c_minus"] - self.a_plus_end
+        bad = ~(np.isfinite(K) & (K > 0))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise ProbeError(f"probe precision {K[j]} not positive at t={ts[j]}; schedule/anchoring inconsistency")
+        return KernelCoeffs(
+            t=ts, a=tab["a_minus"], b=tab["b_minus"], c=tab["c_minus"], K=K,
+            theta_x=tab["theta_x"], theta_y=tab["theta_y"],
+            a_plus=tab["a_plus"], theta_plus=tab["theta_plus"],
+            lam_plus=tab["lambda_plus"], lam_x=tab["lambda_x"], lam_y=tab["lambda_y"],
+            nu=tab["nu"],
         )
-        self._cache_t, self._cache = t, co
-        return co
+
+    def coeffs(self, t: float) -> KernelCoeffs:
+        """Coefficients at one time: the one-row case of ``coeff_table``."""
+        return self.coeff_table(t).row(0)
 
     # ------------------------------------------------------------------
-    def _affine_inputs(self, co: _Coeffs, X: np.ndarray, Z: np.ndarray | None, nu_hat: np.ndarray | None):
+    def _affine_inputs(self, co: KernelCoeffs, X: np.ndarray, Z: np.ndarray | None, nu_hat: np.ndarray | None):
         """Probe mean w and kernel affine part, both in original coordinates."""
         w = (co.b * X + (co.theta_y - self.theta_plus_end)) / co.K
         ups = (co.a * X - co.theta_x) / co.b
@@ -225,7 +234,7 @@ class ScoreContext:
             ups = ups + (1.0 - co.a / co.b) * delta
         return w, ups
 
-    def _posterior_from_probe(self, co: _Coeffs, w: np.ndarray):
+    def _posterior_from_probe(self, co: KernelCoeffs, w: np.ndarray):
         """Responsibilities and per-component posterior means for probe w (B, d)."""
         Kt = co.K
         B = w.shape[0]
@@ -246,13 +255,16 @@ class ScoreContext:
                 - 0.5 * d * LOG_2PI
             )
             m_bar[:, k, :] = ((vk + Kt * lam * pw) / (1.0 + Kt * lam)) @ U.T
-        log_w -= logsumexp(log_w, axis=1, keepdims=True)
-        pi_bar = np.exp(log_w)
+        pi_bar = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        pi_bar /= pi_bar.sum(axis=1, keepdims=True)
         return pi_bar, m_bar
 
-    def score_batch(self, t: float, X: np.ndarray, Z: np.ndarray | None = None, nu_hat=None) -> np.ndarray:
-        """Drift for a batch of positions X (B, d); Z carries per-particle shifts."""
-        co = self.coeffs(t)
+    def score_batch(self, co: KernelCoeffs, X: np.ndarray, Z: np.ndarray | None = None, nu_hat=None) -> np.ndarray:
+        """Drift for a batch of positions X (B, d) at the coefficient row ``co``.
+
+        Z carries per-particle shifts; ``co`` comes from ``coeffs(t)`` or a
+        row of ``coeff_table``.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if Z is not None:
             Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -286,13 +298,14 @@ def posterior(ctx: ScoreContext, t: float, x):
 
 def score_at(ctx: ScoreContext, t: float, x) -> np.ndarray:
     """Optimal drift at one position (zero-start problem)."""
-    u = ctx.score_batch(t, np.atleast_2d(np.asarray(x, dtype=float)))
+    u = ctx.score_batch(ctx.coeffs(t), np.atleast_2d(np.asarray(x, dtype=float)))
     return u[0]
 
 
 def shifted_score(ctx: ScoreContext, t: float, x, z) -> np.ndarray:
     """Optimal drift for a trajectory started at z instead of the origin."""
-    u = ctx.score_batch(t, np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_2d(np.asarray(z, dtype=float)))
+    u = ctx.score_batch(ctx.coeffs(t), np.atleast_2d(np.asarray(x, dtype=float)),
+                        np.atleast_2d(np.asarray(z, dtype=float)))
     return u[0]
 
 
@@ -336,7 +349,7 @@ def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
         out = logsumexp(np.stack(log_parts, axis=1), axis=1) - logsumexp(np.array(log_masses))
     else:
         P = co.a_plus + co.a
-        fac_init = co.a_plus - float(np.atleast_1d(ctx.tables.lambda_plus(co.t))[0])
+        fac_init = co.a_plus - co.lam_plus
         base = (co.theta_plus + co.theta_x) / P
         logs = []
         log_ws = []

@@ -3,8 +3,9 @@
 Conventions:
   * energy is the ensemble average of the per-particle integral of ||u||^2 dt
     with no 1/2 factor, matching the analytic power S^2 Sigma + (S m + s)^2;
-  * the drift is evaluated at each step's left endpoint (clipped away from
-    the singular ends), midpoint evaluation is opt-in;
+  * the drift is evaluated at each step's left endpoint j dt (clipped away
+    from the singular ends); every time-only kernel coefficient is evaluated
+    once per run over that step grid, and step j reads row j of the table;
   * noise comes from counter-based streams keyed by (seed, stream id), one
     stream per step plus one for the initial draw, so runs are bit-for-bit
     reproducible regardless of how particles are partitioned over workers.
@@ -18,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedError
-from .greens import build_tables, DEFAULT_N_STEPS
+from .greens import CoeffTables, build_tables, DEFAULT_N_STEPS
 from .guidance import GuidanceTrajectory, constant_guidance, linear_guidance
 from .schedule import PwcSchedule
-from .score import GaussianMixture, ScoreContext
+from .score import GaussianMixture, KernelCoeffs, ScoreContext
 
 __all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES",
-           "guidance_for_mode", "sample_initial", "step", "run_bridge"]
+           "guidance_for_mode", "tables_for_mode", "sample_initial", "step", "run_bridge"]
 
 GUIDANCE_MODES = ("mf-linear", "ia-zero", "ia-target-mean", "fixed", "closed-loop")
 _SEED_MASK = (1 << 64) - 1
@@ -46,7 +47,6 @@ class SimConfig:
     n_particles: int = 8000
     n_steps: int = DEFAULT_N_STEPS
     seed: int = 20250101
-    midpoint_eval: bool = False
     n_saved_paths: int = 50
     snapshot_times: tuple = ()   # record full particle positions at these times
 
@@ -87,6 +87,12 @@ def guidance_for_mode(config: SimConfig) -> GuidanceTrajectory:
     raise ValueError(mode)
 
 
+def tables_for_mode(config: SimConfig) -> CoeffTables:
+    """Coefficient tables of the configured guidance on the run's step grid."""
+    guidance = guidance_for_mode(config)
+    return build_tables(config.schedule, guidance.pwc_values(config.schedule), config.n_steps)
+
+
 @dataclass
 class EnsembleState:
     positions: np.ndarray     # (B, d)
@@ -118,13 +124,15 @@ def sample_initial(config: SimConfig, rng: np.random.Generator) -> EnsembleState
     return EnsembleState(positions, labels, shifts, np.zeros(B), np.zeros(d))
 
 
-def step(state: EnsembleState, ctx: ScoreContext, dt: float, rng: np.random.Generator,
-         closed_loop: bool = False, midpoint_eval: bool = False) -> EnsembleState:
-    """One Euler-Maruyama update; mutates and returns ``state``."""
+def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, rng: np.random.Generator,
+         closed_loop: bool = False) -> EnsembleState:
+    """One Euler-Maruyama update at row ``state.step_index`` of the step table.
+
+    Mutates and returns ``state``.
+    """
     t = state.step_index * dt
-    t_eval = t + 0.5 * dt if midpoint_eval else t
     nu_hat = state.positions.mean(axis=0) if closed_loop else None
-    u = ctx.score_batch(t_eval, state.positions, state.shifts, nu_hat)
+    u = ctx.score_batch(table.row(state.step_index), state.positions, state.shifts, nu_hat)
     if not np.all(np.isfinite(u)):
         bad = int(np.argwhere(~np.all(np.isfinite(u), axis=1))[0, 0])
         raise DivergedError(f"non-finite drift for particle {bad} at t={t:.6f}")
@@ -142,7 +150,7 @@ def step(state: EnsembleState, ctx: ScoreContext, dt: float, rng: np.random.Gene
 @dataclass
 class EnergyReport:
     total: float
-    stderr: float
+    stderr: float | None           # None for a single particle
     particle_energy: np.ndarray    # (B,) per-particle totals (paired comparisons)
     component_energy: dict          # label -> (mean, stderr, count); primary attribution
     component_energy_terminal: dict  # terminal-basin attribution
@@ -197,18 +205,20 @@ def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
     return out
 
 
-def run_bridge(config: SimConfig, tables=None) -> EnergyReport:
-    """Full bridge simulation under the configured guidance mode."""
-    t_start = time.perf_counter()
-    guidance = guidance_for_mode(config)
-    if tables is None:
-        tables = build_tables(config.schedule, guidance.pwc_values(config.schedule), config.n_steps)
-    ctx = ScoreContext(tables, config.target, config.initial)
-    rng_init = _stream(config.seed, 0)
-    state = sample_initial(config, rng_init)
+def run_bridge(config: SimConfig, tables: CoeffTables | None = None) -> EnergyReport:
+    """Full bridge simulation under the configured guidance mode.
 
+    ``tables`` defaults to ``tables_for_mode(config)``.
+    """
+    t_start = time.perf_counter()
+    if tables is None:
+        tables = tables_for_mode(config)
+    ctx = ScoreContext(tables, config.target, config.initial)
     B, d, n = config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
+    table = ctx.coeff_table(np.arange(n) * dt)
+    rng_init = _stream(config.seed, 0)
+    state = sample_initial(config, rng_init)
     closed_loop = config.guidance_mode == "closed-loop"
     n_saved = min(config.n_saved_paths, B)
 
@@ -228,7 +238,7 @@ def run_bridge(config: SimConfig, tables=None) -> EnergyReport:
     prev_energy = np.zeros(B)
     for j in range(n):
         rng = _stream(config.seed, 1 + j)
-        step(state, ctx, dt, rng, closed_loop=closed_loop, midpoint_eval=config.midpoint_eval)
+        step(state, ctx, table, dt, rng, closed_loop=closed_loop)
         power[j] = float(np.mean((state.energy - prev_energy))) / dt
         prev_energy = state.energy.copy()
         mean_trace[j + 1] = state.positions.mean(axis=0)
@@ -263,7 +273,7 @@ def run_bridge(config: SimConfig, tables=None) -> EnergyReport:
     energy_trace = np.concatenate([[0.0], np.cumsum(power) * dt])
     return EnergyReport(
         total=float(state.energy.mean()),
-        stderr=float(state.energy.std(ddof=1) / np.sqrt(B)),
+        stderr=float(state.energy.std(ddof=1) / np.sqrt(B)) if B > 1 else None,
         particle_energy=state.energy,
         component_energy=comp,
         component_energy_terminal=comp_term,

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,38 @@ def test_cli_numerical_failure_exit_code(monkeypatch, tmp_path):
     rc = main(["bridge", "--preset", "scenario-b", "--particles", "50",
                "--steps", "30", "--modes", "mf", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_cli_probe_failure_exit_code(monkeypatch, tmp_path, capsys):
+    import mfbridge.cli as climod
+    from mfbridge.simulate import tables_for_mode
+
+    def broken_tables(sim_cfg):
+        tables = tables_for_mode(sim_cfg)
+        tables.bwd.c_anchor[3] -= 1e3  # K < 0 on one interval
+        return tables
+
+    monkeypatch.setattr(climod, "tables_for_mode", broken_tables)
+    out = tmp_path / "probe"
+    rc = main(["bridge", "--preset", "scenario-b", "--particles", "50",
+               "--steps", "30", "--modes", "mf", "--out", str(out)])
+    assert rc == 2
+    assert "probe precision" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_single_particle_summary_is_strict_json(tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "one"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["bridge", "--preset", "scenario-b", "--particles", "1",
+                   "--steps", "60", "--modes", "mf", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["modes"]["mf"]["stderr"] is None
 
 
 def test_cli_dump_coefficients(tmp_path):

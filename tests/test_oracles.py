@@ -45,6 +45,16 @@ def test_bisection_zero_rho_when_variance_matches_free_relaxation():
     assert abs(root) < 1e-9
 
 
+@pytest.mark.parametrize("m_bar", [None, 0.0, 0.7])
+def test_linear_shoot_hits_terminal_mean(m_bar):
+    # the superposition shot starts the returned path at s0 and lands on m_tar
+    p = LqgProblem(0.8, 2.0, 1.5, 0.3)
+    *_, S_half = oracles.lqg_shoot(p.kappa, p.q, p.sigma_tar, n_steps=200)
+    _, s, m, s0 = oracles.lqg_linear_shoot(p.kappa, p.q, p.m_tar, S_half, m_bar=m_bar)
+    assert s[0] == s0 and m[0] == 0.0
+    assert abs(m[-1] - p.m_tar) < 1e-12
+
+
 def test_rk4_forward_heat_kernel():
     sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
     ts = np.linspace(0.05, 0.95, 19)

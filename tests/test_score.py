@@ -215,8 +215,10 @@ def test_shifted_score_zero_shift_identity(ctx_b):
 
 def test_score_t_outside_clip_is_clamped(ctx_a):
     lo, hi = ctx_a.tables.t_clip
-    assert np.array_equal(ctx_a.score_batch(0.0, [[1.0]]), ctx_a.score_batch(lo, [[1.0]]))
-    assert np.array_equal(ctx_a.score_batch(1.0, [[1.0]]), ctx_a.score_batch(hi, [[1.0]]))
+    for t, t_clipped in ((0.0, lo), (1.0, hi)):
+        assert ctx_a.coeffs(t).t == t_clipped
+        u = ctx_a.score_batch(ctx_a.coeffs(t), [[1.0]])
+        assert np.array_equal(u, ctx_a.score_batch(ctx_a.coeffs(t_clipped), [[1.0]]))
 
 
 # ----------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 
+import mfbridge.simulate as simulate
+from mfbridge.errors import ProbeError
 from mfbridge.schedule import PwcSchedule, geometric_schedule
-from mfbridge.score import GaussianMixture
-from mfbridge.simulate import SimConfig, guidance_for_mode, run_bridge, sample_initial, _stream
+from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
+from mfbridge.simulate import (SimConfig, guidance_for_mode, run_bridge, sample_initial,
+                               tables_for_mode, _stream)
 
 
 def small_config(**kw):
@@ -165,3 +170,48 @@ def test_snapshots_recorded():
     assert set(rep.snapshots) == {0.0, 0.5, 1.0}
     assert rep.snapshots[0.5].shape == (400, 1)
     assert np.all(rep.snapshots[0.0] == 0.0)
+
+
+def _zero_beta_delta_config():
+    sched = PwcSchedule([0.0, 0.25, 0.5, 0.75, 1.0], [6.0, 0.0, 2.0, 0.0], allow_zero_beta=True)
+    return small_config(schedule=sched)
+
+
+def _mixture_config():
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
+
+
+def _closed_loop_config():
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]),
+                        guidance_mode="closed-loop")
+
+
+@pytest.mark.parametrize("make_config", [_zero_beta_delta_config, _mixture_config, _closed_loop_config])
+def test_step_table_rows_match_scalar_coeffs(make_config):
+    # the vectorised per-step table run_bridge builds equals the one-time
+    # evaluation at every step time, field by field (nu is the closed-loop
+    # re-centring reference)
+    cfg = make_config()
+    ctx = ScoreContext(tables_for_mode(cfg), cfg.target, cfg.initial)
+    n = cfg.n_steps
+    dt = 1.0 / n
+    table = ctx.coeff_table(np.arange(n) * dt)
+    names = [f.name for f in fields(KernelCoeffs)]
+    for j in range(n):
+        row, co = table.row(j), ctx.coeffs(j * dt)
+        for name in names:
+            np.testing.assert_allclose(getattr(row, name), getattr(co, name), rtol=1e-14, atol=0, err_msg=name)
+
+
+def test_probe_failure_raises_before_first_step(monkeypatch):
+    cfg = small_config()
+    tables = tables_for_mode(cfg)
+    tables.bwd.c_anchor[3] -= 1e3  # K < 0 on [0.375, 0.5) only
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a particle moved before the probe check")
+
+    monkeypatch.setattr(simulate, "step", no_step)
+    # first step time at or after 0.375 on the 250-step grid
+    with pytest.raises(ProbeError, match=r"at t=0\.376"):
+        run_bridge(cfg, tables)
