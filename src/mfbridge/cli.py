@@ -93,13 +93,12 @@ def _dump_coefficients(path: Path, tables) -> None:
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
               + [f"theta_y_{i}" for i in range(d)] + ["lambda_plus", "lambda_x", "lambda_y"])
     rows = []
-    for j, t in enumerate(table["t"]):
-        rows.append([f"{t:.6f}"]
-                    + [f"{table[k][j]:.10g}" for k in ("a_plus", "a_minus", "b_minus", "c_minus")]
-                    + [f"{v:.10g}" for v in table["theta_plus"][j]]
-                    + [f"{v:.10g}" for v in table["theta_x"][j]]
-                    + [f"{v:.10g}" for v in table["theta_y"][j]]
-                    + [f"{table[k][j]:.10g}" for k in ("lambda_plus", "lambda_x", "lambda_y")])
+    for j in range(table.t.size):
+        co = table.row(j)
+        rows.append([f"{co.t:.6f}"]
+                    + [f"{v:.10g}" for v in (co.a_plus, co.a, co.b, co.c)]
+                    + [f"{v:.10g}" for v in np.concatenate([co.theta_plus, co.theta_x, co.theta_y])]
+                    + [f"{v:.10g}" for v in (co.lam_plus, co.lam_x, co.lam_y)])
     _write_csv(path, header, rows)
 
 
@@ -149,7 +148,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                 m, k, cnt, f"{cnt / config.n_particles:.6f}",
                 " ".join(f"{v:.6g}" for v in np.atleast_1d(mean)) if mean is not None else "",
                 " ".join(f"{v:.6g}" for v in np.atleast_1d(std)) if std is not None else "",
-                f"{e:.8g}", f"{se:.4g}",
+                f"{e:.8g}" if e is not None else "", f"{se:.4g}" if se is not None else "",
             ])
     _write_csv(out_dir / "terminal.csv",
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
@@ -205,10 +204,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
 
 def _point_dir(out: Path, config: ExperimentConfig, value) -> Path:
-    if config.sweep_axis == "none":
-        return out
-    tag = {"dimension": "d", "components": "K", "ar-rho": "rho"}[config.sweep_axis]
-    return out / f"{tag}={value:g}" if isinstance(value, float) else out / f"{tag}={value}"
+    return out if value is None else out / config.point_tag(value)
 
 
 def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
@@ -224,10 +220,7 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
         _run_lqg(config, out)
         return out
 
-    values = config.sweep_values if config.sweep_axis != "none" else [None]
-    if config.sweep_axis in ("dimension", "components"):
-        values = [int(v) for v in values]
-    jobs = [(config, v, _point_dir(out, config, v), dump_coefficients) for v in values]
+    jobs = [(config, v, _point_dir(out, config, v), dump_coefficients) for v in config.sweep_points()]
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
             rows = list(pool.map(_run_point_star, jobs))

@@ -32,21 +32,26 @@ theta_plus(0+) = 0 and theta_x(1-) = theta_y(1-) = 0 (delta kernels carry no
 linear term).  The shift propagators lambda solve the same linear ODEs with
 the source beta nu replaced by beta.
 
-beta = 0 intervals use the algebraic limits (heat/bridge kernels); all
-evaluators accept scalar or vector t and are exact at any interior time, so
+beta = 0 intervals use the algebraic limits (heat/bridge kernels).
+
+``CoeffTables.sample(ts)`` is the one evaluator: it looks the interval of
+every time up once, evaluates each branch in a single pass (forward a_plus;
+backward a, b, c together; the linear theta_plus, theta_x, theta_y for the
+guidance and for the shift propagators) and returns one ``KernelCoeffs`` of
+per-time arrays.  The closed forms are exact at any interior time, so
 interval-boundary continuity holds to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import CoefficientDomainError
 from .schedule import PwcSchedule, interval_of
 
-__all__ = ["ForwardScalar", "BackwardScalar", "LinearCoeffs", "CoeffTables",
+__all__ = ["ForwardScalar", "BackwardScalar", "LinearCoeffs", "CoeffTables", "KernelCoeffs",
            "forward_scalar", "backward_scalar", "linear_coeffs", "shift_propagators",
            "build_tables", "DEFAULT_N_STEPS"]
 
@@ -77,18 +82,17 @@ class ForwardScalar:
     def a_end(self) -> float:
         return float(self.a_right[-1])
 
-    def a(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(interval_of(self.schedule, t_arr))
-        tau = t_arr - self.schedule.breakpoints[idx]
-        out = np.empty_like(t_arr)
+    def a(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """a_plus at the times t, which lie in the intervals idx."""
+        tau = t - self.schedule.breakpoints[idx]
+        out = np.empty_like(t)
         hyp = ~self.zero[idx]
         if np.any(hyp):
             w, ph = self.omega[idx[hyp]], self.phi[idx[hyp]]
             out[hyp] = w / np.tanh(w * tau[hyp] + ph)
         if np.any(~hyp):
             out[~hyp] = 1.0 / (tau[~hyp] + self.inv_a_start[idx[~hyp]])
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+        return out
 
 
 def forward_scalar(schedule: PwcSchedule) -> ForwardScalar:
@@ -132,31 +136,29 @@ class BackwardScalar:
     b_anchor: np.ndarray
     c_anchor: np.ndarray
 
-    def _eval(self, t, which: str):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(interval_of(self.schedule, t_arr))
+    def abc(self, t: np.ndarray, idx: np.ndarray) -> tuple:
+        """(a, b, c) at the times t, which lie in the intervals idx."""
         bp = self.schedule.breakpoints
         M = self.schedule.n_intervals
-        out = np.empty_like(t_arr)
+        a, b, c = np.empty_like(t), np.empty_like(t), np.empty_like(t)
         term = idx == M - 1
         if np.any(term):
-            sg = 1.0 - t_arr[term]
+            sg = 1.0 - t[term]
             i = idx[term]
             w = self.omega[i]
             z = self.zero[i]
-            vals = np.empty_like(sg)
+            coth, csch = np.empty_like(sg), np.empty_like(sg)
             if np.any(~z):
                 ws = w[~z] * sg[~z]
-                if which == "b":
-                    vals[~z] = w[~z] / np.sinh(ws)
-                else:
-                    vals[~z] = w[~z] / np.tanh(ws)
+                coth[~z] = w[~z] / np.tanh(ws)
+                csch[~z] = w[~z] / np.sinh(ws)
             if np.any(z):
-                vals[z] = 1.0 / sg[z]
-            out[term] = vals
+                coth[z] = csch[z] = 1.0 / sg[z]
+            a[term] = c[term] = coth
+            b[term] = csch
         if np.any(~term):
             i = idx[~term]
-            tau = bp[i + 1] - t_arr[~term]
+            tau = bp[i + 1] - t[~term]
             w = self.omega[i]
             a_r, b_r, c_r = self.a_anchor[i], self.b_anchor[i], self.c_anchor[i]
             z = self.zero[i]
@@ -165,23 +167,11 @@ class BackwardScalar:
             if np.any(den <= 0):
                 bad = int(i[den <= 0][0])
                 raise CoefficientDomainError(f"backward recursion denominator vanished on interval {bad}")
-            if which == "a":
-                out[~term] = np.where(z, a_r / den, w * (a_r + w * T) / den)
-            elif which == "b":
-                sech = np.where(z, 1.0, 1.0 / np.cosh(np.where(z, 0.0, w) * tau))
-                out[~term] = np.where(z, b_r / den, b_r * w * sech / den)
-            else:
-                out[~term] = c_r - b_r * b_r * T / den
-        return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def a(self, t):
-        return self._eval(t, "a")
-
-    def b(self, t):
-        return self._eval(t, "b")
-
-    def c(self, t):
-        return self._eval(t, "c")
+            a[~term] = np.where(z, a_r / den, w * (a_r + w * T) / den)
+            sech = np.where(z, 1.0, 1.0 / np.cosh(np.where(z, 0.0, w) * tau))
+            b[~term] = np.where(z, b_r / den, b_r * w * sech / den)
+            c[~term] = c_r - b_r * b_r * T / den
+        return a, b, c
 
 
 def backward_scalar(schedule: PwcSchedule) -> BackwardScalar:
@@ -245,14 +235,13 @@ class LinearCoeffs:
     x_anchor: np.ndarray          # (M, d) theta_x at interval right ends (0 row for terminal)
     y_anchor: np.ndarray          # (M, d)
 
-    def _shape(self, t, out):
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    def evaluate(self, t: np.ndarray, idx: np.ndarray) -> tuple:
+        """(theta_plus, theta_x, theta_y), each (n, d), at the times t in the intervals idx."""
+        return (self.theta_plus(t, idx),) + self._backward_pair(t, idx)
 
-    def theta_plus(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(interval_of(self.schedule, t_arr))
-        tau = t_arr - self.schedule.breakpoints[idx]
-        out = np.zeros((t_arr.size, self.source.shape[1]))
+    def theta_plus(self, t, idx):
+        tau = t - self.schedule.breakpoints[idx]
+        out = np.zeros((t.size, self.source.shape[1]))
         for i in np.unique(idx):
             m = idx == i
             th0 = self.plus_start[i]
@@ -269,21 +258,19 @@ class LinearCoeffs:
                 hom = np.where(sinhX > 0, np.sinh(ph) / np.where(sinhX > 0, sinhX, 1.0), 1.0)
                 drive = (self.schedule.betas[i] / w) * (np.cosh(X) - np.cosh(ph)) / np.where(sinhX > 0, sinhX, 1.0)
                 out[m] = hom[:, None] * th0 + drive[:, None] * self.source[i]
-        return self._shape(t, out)
+        return out
 
-    def _backward_pair(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(interval_of(self.schedule, t_arr))
+    def _backward_pair(self, t, idx):
         bp = self.schedule.breakpoints
         M = self.schedule.n_intervals
         d = self.source.shape[1]
-        thx = np.zeros((t_arr.size, d))
-        thy = np.zeros((t_arr.size, d))
+        thx = np.zeros((t.size, d))
+        thy = np.zeros((t.size, d))
         for i in np.unique(idx):
             m = idx == i
             nu = self.source[i]
             if i == M - 1:
-                sg = 1.0 - t_arr[m]
+                sg = 1.0 - t[m]
                 if self.bwd.zero[i]:
                     continue  # no source: thetas stay 0
                 w = self.bwd.omega[i]
@@ -291,7 +278,7 @@ class LinearCoeffs:
                 thx[m] = val[:, None] * nu
                 thy[m] = val[:, None] * nu
             else:
-                tau = bp[i + 1] - t_arr[m]
+                tau = bp[i + 1] - t[m]
                 a_r, b_r, c_r = self.bwd.a_anchor[i], self.bwd.b_anchor[i], self.bwd.c_anchor[i]
                 thx_r, thy_r = self.x_anchor[i], self.y_anchor[i]
                 if self.bwd.zero[i]:
@@ -311,12 +298,6 @@ class LinearCoeffs:
                 thx[m] = R[:, None] * thx_r + (a_t - R * a_r)[:, None] * nu
                 thy[m] = thy_r + (b_r * Psi)[:, None] * thx_r + (b_r * drive_y)[:, None] * nu
         return thx, thy
-
-    def theta_x(self, t):
-        return self._shape(t, self._backward_pair(t)[0])
-
-    def theta_y(self, t):
-        return self._shape(t, self._backward_pair(t)[1])
 
 
 def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: BackwardScalar) -> LinearCoeffs:
@@ -351,9 +332,8 @@ def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: Backwa
     y_anchor = np.zeros((M, d))
     lc = LinearCoeffs(schedule, fwd, bwd, source, plus_start, plus_end, x_anchor, y_anchor)
     for i in range(M - 2, -1, -1):
-        t_left = schedule.breakpoints[i + 1]
         # left-end values of interval i+1 become the anchors of interval i
-        saved = lc._backward_pair(np.array([t_left]))
+        saved = lc._backward_pair(schedule.breakpoints[i + 1:i + 2], np.array([i + 1]))
         x_anchor[i] = saved[0][0]
         y_anchor[i] = saved[1][0]
     return lc
@@ -369,6 +349,35 @@ def shift_propagators(schedule: PwcSchedule, fwd: ForwardScalar, bwd: BackwardSc
 # assembled tables
 # ----------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class KernelCoeffs:
+    """Time-only kernel coefficients at n evaluation times.
+
+    Scalar coefficients are (n,) arrays and vector ones (n, d): a, b, c are
+    the backward kernel's, K = c - a_plus(1) is the probe precision, the
+    lam_* are the shift propagators and nu the tabled guidance.  ``row(j)``
+    is the slice at one time (scalars and (d,) vectors), which is what the
+    probe, posterior and drift take.
+    """
+
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    K: np.ndarray
+    theta_x: np.ndarray
+    theta_y: np.ndarray
+    a_plus: np.ndarray
+    theta_plus: np.ndarray
+    lam_plus: np.ndarray
+    lam_x: np.ndarray
+    lam_y: np.ndarray
+    nu: np.ndarray
+
+    def row(self, j: int) -> "KernelCoeffs":
+        return KernelCoeffs(*(getattr(self, f.name)[j] for f in fields(self)))
+
+
 @dataclass
 class CoeffTables:
     """Everything the score needs, evaluable exactly at any interior time."""
@@ -380,42 +389,6 @@ class CoeffTables:
     theta: LinearCoeffs
     lam: LinearCoeffs
     n_steps: int = DEFAULT_N_STEPS
-
-    # scalar coefficient evaluators --------------------------------------
-    def a_plus(self, t):
-        return self.fwd.a(t)
-
-    def a_minus(self, t):
-        return self.bwd.a(t)
-
-    def b_minus(self, t):
-        return self.bwd.b(t)
-
-    def c_minus(self, t):
-        return self.bwd.c(t)
-
-    # linear coefficient evaluators ---------------------------------------
-    def theta_plus(self, t):
-        return self.theta.theta_plus(t)
-
-    def theta_x(self, t):
-        return self.theta.theta_x(t)
-
-    def theta_y(self, t):
-        return self.theta.theta_y(t)
-
-    @staticmethod
-    def _scalarize(v):
-        return float(v[0]) if v.ndim == 1 else v[:, 0]
-
-    def lambda_plus(self, t):
-        return self._scalarize(self.lam.theta_plus(t))
-
-    def lambda_x(self, t):
-        return self._scalarize(self.lam.theta_x(t))
-
-    def lambda_y(self, t):
-        return self._scalarize(self.lam.theta_y(t))
 
     # endpoint values ------------------------------------------------------
     @property
@@ -442,37 +415,30 @@ class CoeffTables:
     def t_clip(self) -> tuple:
         return (0.5 * self.dt, 1.0 - 0.5 * self.dt)
 
-    def nu_at(self, t):
-        idx = interval_of(self.schedule, t)
-        return self.nu[idx]
+    def probe_precision(self, ts) -> np.ndarray:
+        """K_t = c_minus(t) - a_plus(1), without the linear coefficients ``sample`` adds.
 
-    def probe_precision(self, t):
-        """K_t = c_minus(t) - a_plus(1); positive on (0, 1) for sane schedules."""
-        return self.c_minus(t) - self.a_plus_end
+        Positive on (0, 1) for sane schedules; the config dry run scans it.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return self.bwd.abc(ts, interval_of(self.schedule, ts))[2] - self.a_plus_end
 
-    def sample(self, ts=None) -> dict:
+    def sample(self, ts) -> KernelCoeffs:
         """Every coefficient and the guidance value at the times ``ts``.
 
-        The one evaluation of the tables over many times: the score's
-        per-step table and the coefficient CSV dump both read it.
+        The one evaluator of the tables: the score's per-step table, its
+        one-time rows and the coefficient CSV dump all read it.
         """
-        if ts is None:
-            ts = np.arange(1, self.n_steps) * self.dt
-        ts = np.asarray(ts, dtype=float)
-        return {
-            "t": ts,
-            "a_plus": self.a_plus(ts),
-            "a_minus": self.a_minus(ts),
-            "b_minus": self.b_minus(ts),
-            "c_minus": self.c_minus(ts),
-            "theta_plus": np.atleast_2d(self.theta_plus(ts)),
-            "theta_x": np.atleast_2d(self.theta_x(ts)),
-            "theta_y": np.atleast_2d(self.theta_y(ts)),
-            "lambda_plus": np.atleast_1d(self.lambda_plus(ts)),
-            "lambda_x": np.atleast_1d(self.lambda_x(ts)),
-            "lambda_y": np.atleast_1d(self.lambda_y(ts)),
-            "nu": np.atleast_2d(self.nu_at(ts)),
-        }
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        idx = interval_of(self.schedule, ts)
+        a, b, c = self.bwd.abc(ts, idx)
+        theta_plus, theta_x, theta_y = self.theta.evaluate(ts, idx)
+        lam_plus, lam_x, lam_y = (v[:, 0] for v in self.lam.evaluate(ts, idx))
+        return KernelCoeffs(
+            t=ts, a=a, b=b, c=c, K=c - self.a_plus_end, theta_x=theta_x, theta_y=theta_y,
+            a_plus=self.fwd.a(ts, idx), theta_plus=theta_plus,
+            lam_plus=lam_plus, lam_x=lam_x, lam_y=lam_y, nu=self.nu[idx],
+        )
 
 
 def build_tables(schedule: PwcSchedule, nu_values, n_steps: int = DEFAULT_N_STEPS) -> CoeffTables:

@@ -1,8 +1,8 @@
 """Guidance trajectories: the centre of the quadratic steering potential.
 
-Three closed forms (linear interpolant between endpoint means, sinh arc for
-mean-reverting base drift, constants for the independent-agent baselines)
-plus a Picard fixed-point iteration retained for validation only.
+Two closed forms (the linear interpolant between endpoint means, constants
+for the independent-agent baselines), piecewise-constant values, and a
+Picard fixed-point iteration retained for validation only.
 """
 
 from __future__ import annotations
@@ -16,34 +16,19 @@ from .schedule import PwcSchedule, interval_of
 __all__ = [
     "GuidanceTrajectory",
     "linear_guidance",
-    "ou_guidance",
     "constant_guidance",
     "pwc_guidance",
-    "sinh_ratio",
     "fixed_point_guidance",
     "FixedPointResult",
 ]
-
-OU_LINEAR_FALLBACK = 1e-8
-
-
-def sinh_ratio(kappa: float, t):
-    """sinh(kappa*t)/sinh(kappa), stably via exp-scaling; -> t as kappa -> 0."""
-    t = np.asarray(t, dtype=float)
-    if kappa < OU_LINEAR_FALLBACK:
-        return t.copy()
-    # e^{kappa(t-1)} (1 - e^{-2 kappa t}) / (1 - e^{-2 kappa}); no overflow for large kappa
-    return np.exp(kappa * (t - 1.0)) * (-np.expm1(-2.0 * kappa * t)) / (-np.expm1(-2.0 * kappa))
-
 
 @dataclass
 class GuidanceTrajectory:
     """Dense evaluator nu(t) -> (d,) plus its per-interval PWC representation."""
 
-    kind: str  # "linear" | "sinh" | "constant" | "pwc"
+    kind: str  # "linear" | "constant" | "pwc"
     m_in: np.ndarray | None = None
     m_tar: np.ndarray | None = None
-    kappa: float = 0.0
     values: np.ndarray | None = None  # (M, d) for kind == "pwc"
     schedule: PwcSchedule | None = field(default=None, repr=False)
 
@@ -51,8 +36,6 @@ class GuidanceTrajectory:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == "linear":
             out = np.outer(1.0 - t_arr, self.m_in) + np.outer(t_arr, self.m_tar)
-        elif self.kind == "sinh":
-            out = np.outer(sinh_ratio(self.kappa, t_arr), self.m_tar)
         elif self.kind == "constant":
             out = np.broadcast_to(self.m_tar, (t_arr.size, self.m_tar.size)).copy()
         elif self.kind == "pwc":
@@ -88,14 +71,6 @@ def linear_guidance(m_in, m_tar) -> GuidanceTrajectory:
     if not (np.all(np.isfinite(m_in)) and np.all(np.isfinite(m_tar))):
         raise ValueError("non-finite endpoint mean")
     return GuidanceTrajectory(kind="linear", m_in=m_in, m_tar=m_tar)
-
-
-def ou_guidance(kappa: float, m_tar) -> GuidanceTrajectory:
-    """Sinh arc nu(t) = m_tar sinh(kappa t)/sinh(kappa); delta start assumed."""
-    m_tar = np.atleast_1d(np.asarray(m_tar, dtype=float))
-    if kappa < OU_LINEAR_FALLBACK:
-        return linear_guidance(np.zeros_like(m_tar), m_tar)
-    return GuidanceTrajectory(kind="sinh", m_tar=m_tar, kappa=kappa)
 
 
 def constant_guidance(value) -> GuidanceTrajectory:

@@ -29,13 +29,22 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import InfeasibleTargetError, NumericalError
-from .guidance import sinh_ratio
 
-__all__ = ["LqgProblem", "LqgSolution", "IaTrajectory", "LqgMetrics", "solve_lqg", "ia_baseline", "lqg_metrics"]
+__all__ = ["LqgProblem", "LqgSolution", "IaTrajectory", "LqgMetrics", "solve_lqg", "ia_baseline", "lqg_metrics",
+           "sinh_ratio"]
 
 DELTA_DEGENERATE = 1e-8
-KAPPA_DEGENERATE = 1e-8
+KAPPA_DEGENERATE = 1e-8  # below it the mean block takes its kappa -> 0 forms
 DENSE_GRID_POINTS = 4001  # composite-Simpson grid for all energy quadratures
+
+
+def sinh_ratio(kappa: float, t):
+    """sinh(kappa*t)/sinh(kappa), stably via exp-scaling; -> t as kappa -> 0."""
+    t = np.asarray(t, dtype=float)
+    if kappa < KAPPA_DEGENERATE:
+        return t.copy()
+    # e^{kappa(t-1)} (1 - e^{-2 kappa t}) / (1 - e^{-2 kappa}); no overflow for large kappa
+    return np.exp(kappa * (t - 1.0)) * (-np.expm1(-2.0 * kappa * t)) / (-np.expm1(-2.0 * kappa))
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,6 @@ class LqgSolution:
         return (1.0 - self.rho * et) * (1.0 - r0 / et) / (2.0 * self.delta * (1.0 - self.rho * r0))
 
     def m(self, t):
-        # shared code path with the sinh-arc guidance, by design
         return self.problem.m_tar * sinh_ratio(self.problem.kappa, t)
 
     def s(self, t):

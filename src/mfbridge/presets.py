@@ -9,7 +9,7 @@ scalability sweeps, and the scalar thermostat benchmark.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .score import GaussianMixture
 __all__ = ["MixtureSpec", "LqgSpec", "ExperimentConfig", "PRESETS", "preset",
            "parse_config_text", "parse_config_json", "load_config", "validate_config",
            "dsweep_mixtures", "ksweep_mixtures", "MODE_NAMES"]
+
+# sweep axis -> the short name of its value in point tags and directories
+SWEEP_TAGS = {"dimension": "d", "components": "K", "ar-rho": "rho"}
 
 # short mode names used in configs/CLI -> simulator guidance modes
 MODE_NAMES = {
@@ -39,7 +42,7 @@ class MixtureSpec:
     ar_rho: float = 0.0    # spatial AR(1) zone correlation; 0 = diagonal
 
     def build(self, d: int) -> GaussianMixture:
-        if self.ar_rho > 0:
+        if self.ar_rho != 0.0:  # the AR(1) constructor rejects rho outside [0, 1)
             return GaussianMixture.spatial_ar1(self.weights, self.means, self.sigmas, self.ar_rho, d)
         return GaussianMixture.isotropic(self.weights, self.means, self.sigmas, d=d)
 
@@ -74,19 +77,40 @@ class ExperimentConfig:
         return geometric_schedule(self.beta0, self.gamma, self.intervals)
 
     def mixtures(self, sweep_value=None):
-        """(initial, target) mixtures for one run, resolving the sweep axis."""
+        """(initial, target) mixtures for one run, resolving the sweep axis.
+
+        The mixture constructors raise ValueError on a bad shape, weight or
+        covariance; a spec's error names the spec (``target``/``initial``).
+        """
         if self.sweep_axis == "dimension" and sweep_value is not None:
             return dsweep_mixtures(int(sweep_value))
         if self.sweep_axis == "components" and sweep_value is not None:
             return ksweep_mixtures(int(sweep_value), self.d)
+        target, initial = self.target, self.initial
         if self.sweep_axis == "ar-rho" and sweep_value is not None:
-            tar = MixtureSpec(self.target.weights, self.target.means, self.target.sigmas, float(sweep_value))
-            ini = None
-            if self.initial is not None:
-                ini = MixtureSpec(self.initial.weights, self.initial.means, self.initial.sigmas, float(sweep_value))
-            return (ini.build(self.d) if ini else None), tar.build(self.d)
-        ini = self.initial.build(self.d) if self.initial is not None else None
-        return ini, self.target.build(self.d)
+            target = replace(target, ar_rho=float(sweep_value))
+            initial = replace(initial, ar_rho=float(sweep_value)) if initial is not None else None
+
+        def build(spec: MixtureSpec, label: str) -> GaussianMixture:
+            try:
+                return spec.build(self.d)
+            except ValueError as exc:
+                raise ValueError(f"{label}: {exc}") from None
+
+        return (build(initial, "initial") if initial is not None else None), build(target, "target")
+
+    def sweep_points(self) -> list:
+        """The sweep values a run visits, as they are passed on; [None] for a single point."""
+        if self.sweep_axis not in SWEEP_TAGS:
+            return [None]
+        if self.sweep_axis in ("dimension", "components"):
+            return [int(v) for v in self.sweep_values]
+        return list(self.sweep_values)
+
+    def point_tag(self, value) -> str:
+        """``d=8``, ``K=3``, ``rho=0.5``: a sweep point's name in messages and directory names."""
+        tag = SWEEP_TAGS[self.sweep_axis]
+        return f"{tag}={value:g}" if isinstance(value, float) else f"{tag}={value}"
 
     def dim_for(self, sweep_value=None) -> int:
         if self.sweep_axis == "dimension" and sweep_value is not None:
@@ -350,32 +374,14 @@ def load_config(path: str) -> ExperimentConfig:
 # validation
 # ----------------------------------------------------------------------------
 
-def validate_config(config: ExperimentConfig, dry_run: bool = True) -> list:
-    """Structural checks plus an optional coefficient dry run.
+def validate_config(config: ExperimentConfig) -> list:
+    """Structural checks, every sweep point's mixtures, and a coefficient dry run.
 
     Returns a list of error strings; empty means the config is runnable.
     """
     errors = []
-
-    def check_mixture(spec: MixtureSpec | None, label: str):
-        if spec is None:
-            return
-        w = np.asarray(spec.weights, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-12:
-            errors.append(f"{label}: weights sum {w.sum():.6g} != 1")
-        if np.any(w < 0):
-            errors.append(f"{label}: negative weight")
-        if len(spec.means) != w.size or len(spec.sigmas) != w.size:
-            errors.append(f"{label}: weights/means/sigmas lengths differ")
-        if any(s <= 0 for s in spec.sigmas):
-            errors.append(f"{label}: non-PD covariance (sigma <= 0)")
-        if not (0.0 <= spec.ar_rho < 1.0):
-            errors.append(f"{label}: ar_rho {spec.ar_rho} outside [0, 1)")
-
     if config.target is None and config.lqg is None:
         errors.append("config needs a target mixture (or an lqg section)")
-    check_mixture(config.target, "target")
-    check_mixture(config.initial, "initial")
     if config.beta0 <= 0:
         errors.append(f"schedule.beta0 must be positive, got {config.beta0}")
     if not (0 < config.gamma <= 1):
@@ -384,7 +390,7 @@ def validate_config(config: ExperimentConfig, dry_run: bool = True) -> list:
         errors.append("schedule.intervals must be >= 1")
     if config.n_particles < 1 or config.n_steps < 10:
         errors.append("sim.particles >= 1 and sim.steps >= 10 required")
-    if config.sweep_axis not in ("none", "dimension", "components", "ar-rho"):
+    if config.sweep_axis not in ("none", *SWEEP_TAGS):
         errors.append(f"unknown sweep axis {config.sweep_axis!r}")
     if config.sweep_axis != "none" and not config.sweep_values:
         errors.append("sweep axis set but sweep.values empty")
@@ -396,19 +402,22 @@ def validate_config(config: ExperimentConfig, dry_run: bool = True) -> list:
             errors.append("lqg: kappa and q must be nonnegative")
         if config.lqg.sigma_tar <= 0:
             errors.append("lqg: sigma_tar must be positive")
-
-    if errors or not dry_run or config.target is None:
+    if config.target is None:
         return errors
 
-    # dry run: build tables at the first sweep point and scan probe precision
-    try:
-        sweep_value = config.sweep_values[0] if config.sweep_axis != "none" else None
-        initial, target = config.mixtures(sweep_value)
-        sched = config.schedule()
-        from .guidance import linear_guidance
+    for value in config.sweep_values if config.sweep_axis in SWEEP_TAGS else [None]:
+        try:
+            config.mixtures(value)
+        except (ValueError, OverflowError) as exc:  # int(inf) overflows on the integer axes
+            errors.append(f"{exc}" if value is None else f"sweep point {config.point_tag(value)}: {exc}")
+    if errors:
+        return errors
 
-        g = linear_guidance(initial.mean if initial is not None else np.zeros(target.dim), target.mean)
-        tables = build_tables(sched, g.pwc_values(sched), config.n_steps)
+    # dry run: the probe precision K = c(t) - a_plus(1) depends on the
+    # schedule alone, so one table with zero guidance covers every sweep point
+    try:
+        sched = config.schedule()
+        tables = build_tables(sched, np.zeros((sched.n_intervals, 1)), config.n_steps)
         ts = np.linspace(tables.t_clip[0], tables.t_clip[1], 2001)
         K = tables.probe_precision(ts)
         if not np.all(np.isfinite(K)) or np.any(K <= 0):

@@ -11,9 +11,10 @@ the posterior mixture estimate of the terminal point given the probe
     K(t)    = c(t) - a_plus(1)        (probe precision, positive inside (0,1)),
 
 i.e. a pseudo-observation of the target with noise covariance I/K.  Every
-coefficient above depends on t alone, so ``ScoreContext.coeff_table`` evaluates
-them over a whole array of times at once (a simulation's step grid) and
-checks K > 0 there; ``coeffs(t)`` is its one-row case.  Posterior
+coefficient above depends on t alone.  ``ScoreContext.coeff_table`` clips an
+array of times (a simulation's step grid), evaluates them all with the one
+table evaluator ``CoeffTables.sample`` into a ``KernelCoeffs`` and checks
+K > 0 there; ``coeffs(t)`` is its one-row case.  Posterior
 responsibilities are accumulated in the log domain and normalised after a
 max shift (K blows up near t = 1 and naive likelihoods underflow).
 Per-component covariance work is done once in the eigenbasis of each
@@ -35,13 +36,13 @@ respectively, and vanish when the override equals the tabled guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ProbeError
-from .greens import CoeffTables
+from .greens import CoeffTables, KernelCoeffs
 
 __all__ = ["GaussianMixture", "KernelCoeffs", "ScoreContext", "ar1_covariance",
            "probe", "posterior", "score_at", "shifted_score", "marginal_density"]
@@ -57,9 +58,26 @@ def ar1_covariance(sigma: float, rho: float, d: int) -> np.ndarray:
     return sigma**2 * rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def _zone_means(means, d: int) -> np.ndarray:
+    """(K, d) means; a 1-d ``means`` holds one scalar per component, repeated over d zones."""
+    means = np.asarray(means, dtype=float)
+    return np.repeat(means[:, None], d, axis=1) if means.ndim == 1 else means
+
+
+def _sigmas(sigmas) -> np.ndarray:
+    """Per-component scales; the squared scale alone would hide a sign error."""
+    sigmas = np.asarray(sigmas, dtype=float).ravel()
+    if not np.all(sigmas > 0):
+        raise ValueError("non-PD covariance: sigma <= 0")
+    return sigmas
+
+
 @dataclass
 class GaussianMixture:
-    """Weighted Gaussian components in d dimensions."""
+    """Weighted Gaussian components in d dimensions.
+
+    ``means`` is (K, d); a 1-d ``means`` is one scalar per component (d = 1).
+    """
 
     weights: np.ndarray      # (K,)
     means: np.ndarray        # (K, d)
@@ -67,13 +85,21 @@ class GaussianMixture:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
-        m = np.atleast_2d(np.asarray(self.means, dtype=float))
-        if m.shape[0] != w.size:
-            m = m.T
+        m = np.asarray(self.means, dtype=float)
+        if m.ndim == 1:
+            m = m[:, None]
         c = np.asarray(self.covariances, dtype=float)
         if c.ndim == 2:
             c = c[None, :, :] if w.size == 1 else np.array([np.diag(np.atleast_1d(r)) for r in c])
         self.weights, self.means, self.covariances = w, m, c
+        if w.size < 1:
+            raise ValueError("mixture needs at least one component")
+        if m.ndim != 2 or m.shape[0] != w.size:
+            raise ValueError(f"means shape {m.shape} is not (K, d) for K={w.size} weights")
+        if m.shape[1] < 1:
+            raise ValueError("mixture needs dimension d >= 1")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("non-finite component mean")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum {w.sum():.12g} != 1")
         if np.any(w < 0):
@@ -90,25 +116,20 @@ class GaussianMixture:
 
     @classmethod
     def isotropic(cls, weights, means, sigmas, d: int | None = None) -> "GaussianMixture":
-        """Scalar per-component sigmas broadcast to sigma^2 I (1-d if d omitted)."""
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        if means.shape[0] == 1 and np.asarray(weights).size > 1:
-            means = means.T
-        if d is not None and means.shape[1] == 1 and d > 1:
-            means = np.repeat(means, d, axis=1)
-        dim = means.shape[1]
-        covs = np.array([s**2 * np.eye(dim) for s in np.asarray(sigmas, dtype=float).ravel()])
+        """Scalar per-component sigmas broadcast to sigma^2 I.
+
+        A 1-d ``means`` gives one scalar per component, repeated over d zones
+        (d = 1 if omitted); a 2-d ``means`` is (K, d) and sets d itself.
+        """
+        means = _zone_means(means, 1 if d is None else d)
+        covs = np.array([s**2 * np.eye(means.shape[-1]) for s in _sigmas(sigmas)])
         return cls(np.asarray(weights, dtype=float), means, covs)
 
     @classmethod
     def spatial_ar1(cls, weights, means, sigmas, rho: float, d: int) -> "GaussianMixture":
-        means = np.atleast_2d(np.asarray(means, dtype=float))
-        if means.shape[0] == 1 and np.asarray(weights).size > 1:
-            means = means.T
-        if means.shape[1] == 1 and d > 1:
-            means = np.repeat(means, d, axis=1)
-        covs = np.array([ar1_covariance(s, rho, d) for s in np.asarray(sigmas, dtype=float).ravel()])
-        return cls(np.asarray(weights, dtype=float), means, covs)
+        """AR(1) zone covariances sigma_k^2 rho^|i-j|; ``means`` as in ``isotropic``."""
+        covs = np.array([ar1_covariance(s, rho, d) for s in _sigmas(sigmas)])
+        return cls(np.asarray(weights, dtype=float), _zone_means(means, d), covs)
 
     @property
     def n_components(self) -> int:
@@ -137,33 +158,6 @@ class GaussianMixture:
             )
         out = logsumexp(parts, axis=1)
         return float(out[0]) if np.asarray(x).ndim == 1 else out
-
-
-@dataclass(frozen=True)
-class KernelCoeffs:
-    """Time-only kernel coefficients at n clipped evaluation times.
-
-    Scalar coefficients are (n,) arrays and vector ones (n, d).  ``row(j)``
-    is the slice at one time (scalars and (d,) vectors), which is what the
-    probe, posterior and drift take.
-    """
-
-    t: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    K: np.ndarray
-    theta_x: np.ndarray
-    theta_y: np.ndarray
-    a_plus: np.ndarray
-    theta_plus: np.ndarray
-    lam_plus: np.ndarray
-    lam_x: np.ndarray
-    lam_y: np.ndarray
-    nu: np.ndarray
-
-    def row(self, j: int) -> "KernelCoeffs":
-        return KernelCoeffs(*(getattr(self, f.name)[j] for f in fields(self)))
 
 
 class ScoreContext:
@@ -199,20 +193,13 @@ class ScoreContext:
         not positive, so a bad schedule fails before any particle moves.
         """
         lo, hi = self.tables.t_clip
-        ts = np.clip(np.atleast_1d(np.asarray(ts, dtype=float)), lo, hi)
-        tab = self.tables.sample(ts)
-        K = tab["c_minus"] - self.a_plus_end
-        bad = ~(np.isfinite(K) & (K > 0))
+        table = self.tables.sample(np.clip(ts, lo, hi))
+        bad = ~(np.isfinite(table.K) & (table.K > 0))
         if np.any(bad):
             j = int(np.argmax(bad))
-            raise ProbeError(f"probe precision {K[j]} not positive at t={ts[j]}; schedule/anchoring inconsistency")
-        return KernelCoeffs(
-            t=ts, a=tab["a_minus"], b=tab["b_minus"], c=tab["c_minus"], K=K,
-            theta_x=tab["theta_x"], theta_y=tab["theta_y"],
-            a_plus=tab["a_plus"], theta_plus=tab["theta_plus"],
-            lam_plus=tab["lambda_plus"], lam_x=tab["lambda_x"], lam_y=tab["lambda_y"],
-            nu=tab["nu"],
-        )
+            raise ProbeError(f"probe precision {table.K[j]} not positive at t={table.t[j]}; "
+                             "schedule/anchoring inconsistency")
+        return table
 
     def coeffs(self, t: float) -> KernelCoeffs:
         """Coefficients at one time: the one-row case of ``coeff_table``."""

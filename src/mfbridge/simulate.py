@@ -27,7 +27,7 @@ from .score import GaussianMixture, KernelCoeffs, ScoreContext
 __all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES",
            "guidance_for_mode", "tables_for_mode", "sample_initial", "step", "run_bridge"]
 
-GUIDANCE_MODES = ("mf-linear", "ia-zero", "ia-target-mean", "fixed", "closed-loop")
+GUIDANCE_MODES = ("mf-linear", "ia-zero", "ia-target-mean", "closed-loop")
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -42,7 +42,6 @@ class SimConfig:
     schedule: PwcSchedule
     initial: GaussianMixture | None = None      # None: delta at the origin
     guidance_mode: str = "mf-linear"
-    fixed_nu: np.ndarray | None = None          # for guidance_mode == "fixed"
     guidance: GuidanceTrajectory | None = None  # explicit trajectory override
     n_particles: int = 8000
     n_steps: int = DEFAULT_N_STEPS
@@ -57,8 +56,6 @@ class SimConfig:
             raise ValueError("need at least 10 steps")
         if self.guidance_mode not in GUIDANCE_MODES:
             raise ValueError(f"unknown guidance mode {self.guidance_mode!r}; choose from {GUIDANCE_MODES}")
-        if self.guidance_mode == "fixed" and self.fixed_nu is None:
-            raise ValueError("fixed guidance mode needs fixed_nu")
         if self.initial is not None and self.initial.dim != self.target.dim:
             raise ValueError("initial/target dimension mismatch")
 
@@ -82,8 +79,6 @@ def guidance_for_mode(config: SimConfig) -> GuidanceTrajectory:
         return constant_guidance(np.zeros(config.dim))
     if mode == "ia-target-mean":
         return constant_guidance(config.target.mean)
-    if mode == "fixed":
-        return constant_guidance(config.fixed_nu)
     raise ValueError(mode)
 
 
@@ -172,8 +167,6 @@ class EnergyReport:
 
     def summary(self) -> dict:
         def entry(v):
-            if v[2] == 0:
-                return {"energy": None, "stderr": None, "count": 0}
             return {"energy": v[0], "stderr": v[1], "count": v[2]}
 
         comp = {str(k): entry(v) for k, v in self.component_energy.items()}
@@ -193,15 +186,16 @@ class EnergyReport:
 
 
 def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
+    """label -> (mean, stderr, count); the mean is None for no particle, the stderr for fewer than two."""
     out = {}
     for k in range(n_comp):
         mask = labels == k
         n = int(mask.sum())
         if n == 0:
-            out[k] = (float("nan"), float("nan"), 0)
+            out[k] = (None, None, 0)
         else:
             e = energy[mask]
-            out[k] = (float(e.mean()), float(e.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0, n)
+            out[k] = (float(e.mean()), float(e.std(ddof=1) / np.sqrt(n)) if n > 1 else None, n)
     return out
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from .schedule import PwcSchedule
+from mfbridge.schedule import PwcSchedule
 
 __all__ = [
     "rk4_path",
@@ -360,9 +360,10 @@ def psi_quadrature(coeffs, target, t: float, x: float, n: int = 4001) -> float:
     ``coeffs`` (a/b/c at t, the raw linear pair th_x/th_y at t, and the
     forward endpoint pair).  1-d only.
     """
-    a, b, c = coeffs.a_minus(t), coeffs.b_minus(t), coeffs.c_minus(t)
-    thx = float(np.atleast_1d(coeffs.theta_x(t))[0])
-    thy = float(np.atleast_1d(coeffs.theta_y(t))[0])
+    co = coeffs.sample([t]).row(0)
+    a, b, c = co.a, co.b, co.c
+    thx = float(co.theta_x[0])
+    thy = float(co.theta_y[0])
     a1 = coeffs.a_plus_end
     th1 = float(np.atleast_1d(coeffs.theta_plus_end)[0])
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 
-from mfbridge import oracles
+import oracles
 from mfbridge.greens import build_tables
 from mfbridge.guidance import linear_guidance, pwc_guidance
 from mfbridge.lqg import LqgProblem, solve_lqg
@@ -86,9 +86,10 @@ def test_criterion_2_green_coefficients():
         nu = rng.uniform(-2.0, 3.0, size=(sched.n_intervals, 1))
         tab = build_tables(sched, nu)
         ts = np.linspace(0.015, 0.985, 21)
-        worst_rel = max(worst_rel, float(np.max(np.abs(tab.a_plus(ts) - oracles.rk4_riccati_forward(sched, ts)) / np.abs(tab.a_plus(ts)))))
+        co = tab.sample(ts)
+        worst_rel = max(worst_rel, float(np.max(np.abs(co.a_plus - oracles.rk4_riccati_forward(sched, ts)) / np.abs(co.a_plus))))
         a_o, b_o, c_o = oracles.rk4_riccati_backward(sched, ts)
-        for got, want in ((tab.a_minus(ts), a_o), (tab.b_minus(ts), b_o), (tab.c_minus(ts), c_o)):
+        for got, want in ((co.a, a_o), (co.b, b_o), (co.c, c_o)):
             worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
         bp = sched.breakpoints
 
@@ -98,24 +99,27 @@ def test_criterion_2_green_coefficients():
 
         thx_o, thy_o = oracles.rk4_linear_backward(sched, src, ts)
         scale = max(1.0, float(np.max(np.abs(thx_o))), float(np.max(np.abs(thy_o))))
-        worst_rel = max(worst_rel, float(np.max(np.abs(np.atleast_2d(tab.theta_x(ts)) - thx_o))) / scale)
-        worst_rel = max(worst_rel, float(np.max(np.abs(np.atleast_2d(tab.theta_y(ts)) - thy_o))) / scale)
+        worst_rel = max(worst_rel, float(np.max(np.abs(co.theta_x - thx_o))) / scale)
+        worst_rel = max(worst_rel, float(np.max(np.abs(co.theta_y - thy_o))) / scale)
         thp_o = oracles.rk4_linear_forward(sched, src, ts)
-        worst_rel = max(worst_rel, float(np.max(np.abs(np.atleast_2d(tab.theta_plus(ts)) - thp_o))) / scale)
+        worst_rel = max(worst_rel, float(np.max(np.abs(co.theta_plus - thp_o))) / scale)
         for b in sched.breakpoints[1:-1]:
-            for f in (tab.a_plus, tab.a_minus, tab.b_minus, tab.c_minus):
-                worst_jump = max(worst_jump, abs(f(b + 1e-11) - f(b - 1e-11)) / max(1.0, abs(f(b))))
+            right, left, mid = (tab.sample([t]).row(0) for t in (b + 1e-11, b - 1e-11, b))
+            for name in ("a_plus", "a", "b", "c"):
+                f_r, f_l, f_m = (getattr(k, name) for k in (right, left, mid))
+                worst_jump = max(worst_jump, abs(f_r - f_l) / max(1.0, abs(f_m)))
         tm = np.concatenate([np.linspace(lo + 0.02, hi - 0.02, 5)
                              for lo, hi in zip(bp[:-1], bp[1:])])
         beta = sched.betas[np.clip(np.searchsorted(bp, tm, side="right") - 1, 0, sched.n_intervals - 1)]
-        adot = (tab.a_plus(tm + h) - tab.a_plus(tm - h)) / (2 * h)
-        worst_resid = max(worst_resid, float(np.max(np.abs(-adot + beta - tab.a_plus(tm) ** 2) / np.maximum(1.0, tab.a_plus(tm) ** 2))))
-        am, bm = tab.a_minus(tm), tab.b_minus(tm)
-        amdot = (tab.a_minus(tm + h) - tab.a_minus(tm - h)) / (2 * h)
+        cm, up, down = tab.sample(tm), tab.sample(tm + h), tab.sample(tm - h)
+        adot = (up.a_plus - down.a_plus) / (2 * h)
+        worst_resid = max(worst_resid, float(np.max(np.abs(-adot + beta - cm.a_plus ** 2) / np.maximum(1.0, cm.a_plus ** 2))))
+        am, bm = cm.a, cm.b
+        amdot = (up.a - down.a) / (2 * h)
         worst_resid = max(worst_resid, float(np.max(np.abs(amdot + beta - am**2) / np.maximum(1.0, am**2))))
-        bdot = (tab.b_minus(tm + h) - tab.b_minus(tm - h)) / (2 * h)
+        bdot = (up.b - down.b) / (2 * h)
         worst_resid = max(worst_resid, float(np.max(np.abs(bdot - am * bm) / np.maximum(1.0, np.abs(am * bm)))))
-        cdot = (tab.c_minus(tm + h) - tab.c_minus(tm - h)) / (2 * h)
+        cdot = (up.c - down.c) / (2 * h)
         worst_resid = max(worst_resid, float(np.max(np.abs(cdot - bm**2) / np.maximum(1.0, bm**2))))
     elapsed = time.perf_counter() - t0
     _report("criterion 2: PWC coefficients vs RK4 (21 schedules)",
@@ -150,8 +154,9 @@ def test_criterion_3_score_master_check():
             u = score_at(ctx, t, [x])[0]
             lp = marginal_density(ctx, t, np.array([[x + h], [x - h]]), log=True)
             dlogp = (lp[0] - lp[1]) / (2 * h)
-            a1t = float(tab.a_plus(t))
-            th1t = float(np.atleast_1d(tab.theta_plus(t))[0])
+            co = tab.sample([t])
+            a1t = float(co.a_plus[0])
+            th1t = float(co.theta_plus[0, 0])
             dlogG = -a1t * x + th1t
             worst_cv = max(worst_cv, abs(u - (dlogp - dlogG)))
     elapsed = time.perf_counter() - t0

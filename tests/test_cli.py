@@ -266,6 +266,28 @@ def test_cli_single_particle_summary_is_strict_json(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["modes"]["mf"]["stderr"] is None
+    components = summary["modes"]["mf"]["component_energy"]
+    assert sorted(c["count"] for c in components.values()) == [0, 1]
+    assert all(c["stderr"] is None for c in components.values())
+    text = (out / "terminal.csv").read_text()
+    assert "nan" not in text.lower()
+    with open(out / "terminal.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["energy_stderr"] == "" for r in rows)
+    assert [r["energy"] == "" for r in rows] == [r["count"] == "0" for r in rows]
+
+
+@pytest.mark.parametrize("verb_args", [
+    ["--preset", "ar-sweep", "--values", "0.5,1.5"],   # rho = 1.5 is not a correlation
+    ["--preset", "d-sweep", "--values", "1,0"],        # d = 0 zones
+    ["--preset", "k-sweep", "--values", "2,0"],        # K = 0 components
+], ids=["rho", "d", "K"])
+def test_sweep_rejects_any_bad_point_before_running(verb_args, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", *verb_args, "--particles", "20", "--steps", "20", "--modes", "mf", "--out", str(out)])
+    assert rc == 1
+    assert "sweep point" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_dump_coefficients(tmp_path):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mfbridge import oracles
+import oracles
 from mfbridge.errors import CoefficientDomainError
 from mfbridge.greens import build_tables, forward_scalar, backward_scalar, linear_coeffs, shift_propagators
-from mfbridge.schedule import PwcSchedule, geometric_schedule
+from mfbridge.schedule import PwcSchedule, geometric_schedule, interval_of
 
 
 def _source_fn(schedule, values):
@@ -22,50 +22,55 @@ def _random_schedule(rng):
     return geometric_schedule(rng.uniform(0.5, 20.0), rng.uniform(0.3, 1.0), m)
 
 
+def _zero_guidance_tables(sched):
+    return build_tables(sched, np.zeros((sched.n_intervals, 1)))
+
+
 def test_forward_heat_kernel_limit():
     sched = PwcSchedule([0.0, 0.4, 1.0], [0.0, 0.0], allow_zero_beta=True)
-    fwd = forward_scalar(sched)
     ts = np.linspace(0.02, 0.98, 25)
-    assert np.max(np.abs(fwd.a(ts) * ts - 1.0)) < 1e-12
+    co = _zero_guidance_tables(sched).sample(ts)
+    assert np.max(np.abs(co.a_plus * ts - 1.0)) < 1e-12
 
 
 def test_forward_single_interval_value():
     sched = PwcSchedule([0.0, 1.0], [4.0])
-    fwd = forward_scalar(sched)
-    assert fwd.a(0.5) == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
+    co = _zero_guidance_tables(sched).sample([0.5])
+    assert co.a_plus[0] == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
 
 
 def test_backward_terminal_interval_values():
     sched = PwcSchedule([0.0, 1.0], [4.0])
-    bwd = backward_scalar(sched)
-    assert bwd.a(0.5) == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
-    assert bwd.c(0.5) == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
-    assert bwd.b(0.5) == pytest.approx(2.0 / np.sinh(1.0), rel=1e-14)
+    co = _zero_guidance_tables(sched).sample([0.5])
+    assert co.a[0] == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
+    assert co.c[0] == pytest.approx(2.0 / np.tanh(1.0), rel=1e-14)
+    assert co.b[0] == pytest.approx(2.0 / np.sinh(1.0), rel=1e-14)
 
 
 def test_backward_bridge_kernel_limit():
     sched = PwcSchedule([0.0, 0.3, 1.0], [0.0, 0.0], allow_zero_beta=True)
-    bwd = backward_scalar(sched)
     ts = np.linspace(0.02, 0.98, 25)
-    for f in (bwd.a, bwd.b, bwd.c):
-        assert np.max(np.abs(f(ts) * (1.0 - ts) - 1.0)) < 1e-12
+    co = _zero_guidance_tables(sched).sample(ts)
+    for v in (co.a, co.b, co.c):
+        assert np.max(np.abs(v * (1.0 - ts) - 1.0)) < 1e-12
 
 
 def test_paper_schedule_matches_rk4(paper_schedule, relerr):
     nu = np.linspace(2.8, 0.6, 17)[1::2][:, None]
     tab = build_tables(paper_schedule, nu)
     ts = np.linspace(0.011, 0.989, 37)
-    assert relerr(tab.a_plus(ts), oracles.rk4_riccati_forward(paper_schedule, ts)) < 1e-4
+    co = tab.sample(ts)
+    assert relerr(co.a_plus, oracles.rk4_riccati_forward(paper_schedule, ts)) < 1e-4
     a_o, b_o, c_o = oracles.rk4_riccati_backward(paper_schedule, ts)
-    assert relerr(tab.a_minus(ts), a_o) < 1e-4
-    assert relerr(tab.b_minus(ts), b_o) < 1e-4
-    assert relerr(tab.c_minus(ts), c_o) < 1e-4
+    assert relerr(co.a, a_o) < 1e-4
+    assert relerr(co.b, b_o) < 1e-4
+    assert relerr(co.c, c_o) < 1e-4
     src = _source_fn(paper_schedule, nu)
     thp = oracles.rk4_linear_forward(paper_schedule, src, ts)
-    assert np.max(np.abs(np.atleast_2d(tab.theta_plus(ts)) - thp)) < 1e-4 * max(1, np.max(np.abs(thp)))
+    assert np.max(np.abs(co.theta_plus - thp)) < 1e-4 * max(1, np.max(np.abs(thp)))
     thx, thy = oracles.rk4_linear_backward(paper_schedule, src, ts)
-    assert np.max(np.abs(np.atleast_2d(tab.theta_x(ts)) - thx)) < 1e-4 * max(1, np.max(np.abs(thx)))
-    assert np.max(np.abs(np.atleast_2d(tab.theta_y(ts)) - thy)) < 1e-4 * max(1, np.max(np.abs(thy)))
+    assert np.max(np.abs(co.theta_x - thx)) < 1e-4 * max(1, np.max(np.abs(thx)))
+    assert np.max(np.abs(co.theta_y - thy)) < 1e-4 * max(1, np.max(np.abs(thy)))
 
 
 def test_shift_propagators_match_unit_source(paper_schedule):
@@ -75,26 +80,24 @@ def test_shift_propagators_match_unit_source(paper_schedule):
     ones = np.ones((paper_schedule.n_intervals, 1))
     theta = linear_coeffs(paper_schedule, ones, fwd, bwd)
     ts = np.linspace(0.05, 0.95, 19)
-    assert np.array_equal(lam.theta_plus(ts), theta.theta_plus(ts))
-    assert np.array_equal(lam.theta_x(ts), theta.theta_x(ts))
-    assert np.array_equal(lam.theta_y(ts), theta.theta_y(ts))
+    idx = interval_of(paper_schedule, ts)
+    for got, want in zip(lam.evaluate(ts, idx), theta.evaluate(ts, idx)):
+        assert np.array_equal(got, want)
 
 
 def test_lambda_zero_without_interaction():
     sched = PwcSchedule([0.0, 0.5, 1.0], [0.0, 0.0], allow_zero_beta=True)
-    tab = build_tables(sched, np.zeros((2, 1)))
-    ts = np.linspace(0.05, 0.95, 11)
-    assert np.max(np.abs(tab.lambda_plus(ts))) == 0.0
-    assert np.max(np.abs(tab.lambda_x(ts))) == 0.0
-    assert np.max(np.abs(tab.lambda_y(ts))) == 0.0
+    co = _zero_guidance_tables(sched).sample(np.linspace(0.05, 0.95, 11))
+    assert np.max(np.abs(co.lam_plus)) == 0.0
+    assert np.max(np.abs(co.lam_x)) == 0.0
+    assert np.max(np.abs(co.lam_y)) == 0.0
 
 
 def test_theta_zero_for_zero_guidance(paper_schedule):
-    tab = build_tables(paper_schedule, np.zeros((8, 1)))
-    ts = np.linspace(0.05, 0.95, 11)
-    assert np.max(np.abs(tab.theta_plus(ts))) == 0.0
-    assert np.max(np.abs(tab.theta_x(ts))) == 0.0
-    assert np.max(np.abs(tab.theta_y(ts))) == 0.0
+    co = _zero_guidance_tables(paper_schedule).sample(np.linspace(0.05, 0.95, 11))
+    assert np.max(np.abs(co.theta_plus)) == 0.0
+    assert np.max(np.abs(co.theta_x)) == 0.0
+    assert np.max(np.abs(co.theta_y)) == 0.0
 
 
 def test_theta_plus_constant_protocol_endpoint():
@@ -111,18 +114,18 @@ def test_random_schedules_match_rk4(relerr):
     for _ in range(6):
         sched = _random_schedule(rng)
         nu = rng.uniform(-2.0, 3.0, size=(sched.n_intervals, 1))
-        tab = build_tables(sched, nu)
         ts = np.linspace(0.015, 0.985, 23)
-        assert relerr(tab.a_plus(ts), oracles.rk4_riccati_forward(sched, ts)) < 1e-4
+        co = build_tables(sched, nu).sample(ts)
+        assert relerr(co.a_plus, oracles.rk4_riccati_forward(sched, ts)) < 1e-4
         a_o, b_o, c_o = oracles.rk4_riccati_backward(sched, ts)
-        assert relerr(tab.a_minus(ts), a_o) < 1e-4
-        assert relerr(tab.b_minus(ts), b_o) < 1e-4
-        assert relerr(tab.c_minus(ts), c_o) < 1e-4
+        assert relerr(co.a, a_o) < 1e-4
+        assert relerr(co.b, b_o) < 1e-4
+        assert relerr(co.c, c_o) < 1e-4
         src = _source_fn(sched, nu)
         thx, thy = oracles.rk4_linear_backward(sched, src, ts)
         scale = max(1.0, np.max(np.abs(thx)), np.max(np.abs(thy)))
-        assert np.max(np.abs(np.atleast_2d(tab.theta_x(ts)) - thx)) < 1e-4 * scale
-        assert np.max(np.abs(np.atleast_2d(tab.theta_y(ts)) - thy)) < 1e-4 * scale
+        assert np.max(np.abs(co.theta_x - thx)) < 1e-4 * scale
+        assert np.max(np.abs(co.theta_y - thy)) < 1e-4 * scale
 
 
 def test_boundary_continuity(paper_schedule):
@@ -130,10 +133,12 @@ def test_boundary_continuity(paper_schedule):
     tab = build_tables(paper_schedule, nu)
     eps = 1e-11
     for bp in paper_schedule.breakpoints[1:-1]:
-        for f in (tab.a_plus, tab.a_minus, tab.b_minus, tab.c_minus):
-            assert abs(f(bp + eps) - f(bp - eps)) < 1e-9 * max(1.0, abs(f(bp)))
-        for f in (tab.theta_plus, tab.theta_x, tab.theta_y):
-            assert np.max(np.abs(f(bp + eps) - f(bp - eps))) < 1e-9
+        right, left, mid = (tab.sample([t]).row(0) for t in (bp + eps, bp - eps, bp))
+        for name in ("a_plus", "a", "b", "c"):
+            f_r, f_l, f_m = (getattr(co, name) for co in (right, left, mid))
+            assert abs(f_r - f_l) < 1e-9 * max(1.0, abs(f_m))
+        for name in ("theta_plus", "theta_x", "theta_y"):
+            assert np.max(np.abs(getattr(right, name) - getattr(left, name))) < 1e-9
 
 
 def test_riccati_residuals_by_central_differences(paper_schedule):
@@ -147,40 +152,40 @@ def test_riccati_residuals_by_central_differences(paper_schedule):
     ts = np.concatenate([np.linspace(lo + 0.01, hi - 0.01, 7)
                          for lo, hi in zip(paper_schedule.breakpoints[:-1], paper_schedule.breakpoints[1:])])
     beta = paper_schedule.betas[np.searchsorted(paper_schedule.breakpoints, ts, side="right") - 1]
-    adot = (tab.a_plus(ts + h) - tab.a_plus(ts - h)) / (2 * h)
-    scale = np.maximum(1.0, tab.a_plus(ts) ** 2)
-    assert np.max(np.abs(-adot + beta - tab.a_plus(ts) ** 2) / scale) < 1e-5
-    am, bm = tab.a_minus(ts), tab.b_minus(ts)
-    amdot = (tab.a_minus(ts + h) - tab.a_minus(ts - h)) / (2 * h)
+    co, up, down = tab.sample(ts), tab.sample(ts + h), tab.sample(ts - h)
+    adot = (up.a_plus - down.a_plus) / (2 * h)
+    scale = np.maximum(1.0, co.a_plus ** 2)
+    assert np.max(np.abs(-adot + beta - co.a_plus ** 2) / scale) < 1e-5
+    am, bm = co.a, co.b
+    amdot = (up.a - down.a) / (2 * h)
     assert np.max(np.abs(amdot + beta - am**2) / np.maximum(1.0, am**2)) < 1e-5
-    bdot = (tab.b_minus(ts + h) - tab.b_minus(ts - h)) / (2 * h)
+    bdot = (up.b - down.b) / (2 * h)
     assert np.max(np.abs(bdot - am * bm) / np.maximum(1.0, np.abs(am * bm))) < 1e-5
-    cdot = (tab.c_minus(ts + h) - tab.c_minus(ts - h)) / (2 * h)
+    cdot = (up.c - down.c) / (2 * h)
     assert np.max(np.abs(cdot - bm**2) / np.maximum(1.0, bm**2)) < 1e-5
 
 
 def test_singular_tails():
     sched = geometric_schedule(12.0, 0.65, 8)
     tab = build_tables(sched, np.zeros((8, 1)))
-    assert abs(1e-4 * tab.a_plus(1e-4) - 1.0) < 1e-3
-    t = 1.0 - 1e-4
-    for f in (tab.a_minus, tab.b_minus, tab.c_minus):
-        assert abs(1e-4 * f(t) - 1.0) < 1e-3
+    assert abs(1e-4 * tab.sample([1e-4]).a_plus[0] - 1.0) < 1e-3
+    co = tab.sample([1.0 - 1e-4])
+    for v in (co.a, co.b, co.c):
+        assert abs(1e-4 * v[0] - 1.0) < 1e-3
 
 
 def test_positive_coefficients_and_small_beta_limit():
     rng = np.random.default_rng(5)
     for _ in range(8):
         sched = geometric_schedule(rng.uniform(0.5, 20.0), rng.uniform(0.3, 1.0), int(rng.choice([1, 2, 4, 8])))
-        tab = build_tables(sched, np.zeros((sched.n_intervals, 1)))
-        ts = np.linspace(0.01, 0.99, 53)
-        assert np.all(tab.a_plus(ts) > 0)
-        assert np.all(tab.a_minus(ts) > 0)
+        co = _zero_guidance_tables(sched).sample(np.linspace(0.01, 0.99, 53))
+        assert np.all(co.a_plus > 0)
+        assert np.all(co.a > 0)
     tiny = geometric_schedule(1e-8, 1.0, 4)
-    tab = build_tables(tiny, np.zeros((4, 1)))
     ts = np.linspace(0.02, 0.98, 33)
-    assert np.max(np.abs(tab.a_plus(ts) * ts - 1.0)) < 1e-4
-    assert np.max(np.abs(tab.a_minus(ts) * (1 - ts) - 1.0)) < 1e-4
+    co = _zero_guidance_tables(tiny).sample(ts)
+    assert np.max(np.abs(co.a_plus * ts - 1.0)) < 1e-4
+    assert np.max(np.abs(co.a * (1 - ts) - 1.0)) < 1e-4
 
 
 def test_probe_precision_positive(paper_schedule):
@@ -200,8 +205,21 @@ def test_increasing_beta_guard():
 def test_dense_sample_shapes(paper_schedule):
     nu = np.linspace(2.8, 0.6, 17)[1::2][:, None]
     tab = build_tables(paper_schedule, nu, n_steps=500)
-    table = tab.sample()
-    assert table["t"].shape == (499,)
-    assert table["a_plus"].shape == (499,)
-    assert table["theta_plus"].shape == (499, 1)
-    assert np.all(np.isfinite(table["lambda_y"]))
+    table = tab.sample(np.arange(1, tab.n_steps) * tab.dt)
+    assert table.t.shape == (499,)
+    assert table.a_plus.shape == (499,)
+    assert table.theta_plus.shape == (499, 1)
+    assert np.all(np.isfinite(table.lam_y))
+    assert np.array_equal(table.K, table.c - tab.a_plus_end)
+
+
+def test_sample_looks_up_intervals_once(paper_schedule, monkeypatch):
+    import mfbridge.greens as greens
+
+    calls = []
+    lookup = greens.interval_of
+    monkeypatch.setattr(greens, "interval_of", lambda *a: calls.append(1) or lookup(*a))
+    tab = build_tables(paper_schedule, np.ones((8, 2)))
+    calls.clear()
+    tab.sample(np.linspace(0.01, 0.99, 41))
+    assert len(calls) == 1

@@ -5,10 +5,9 @@ from mfbridge.guidance import (
     constant_guidance,
     fixed_point_guidance,
     linear_guidance,
-    ou_guidance,
     pwc_guidance,
-    sinh_ratio,
 )
+from mfbridge.lqg import sinh_ratio
 
 
 
@@ -27,31 +26,11 @@ def test_linear_constant_when_endpoints_equal():
     assert np.allclose(g(0.3), [0.9, -0.2])
 
 
-def test_ou_guidance_values():
-    g = ou_guidance(1.0, [1.0])
-    assert g(0.5)[0] == pytest.approx(np.sinh(0.5) / np.sinh(1.0), rel=1e-12)
+def test_sinh_ratio_values():
+    assert sinh_ratio(1.0, 0.5) == pytest.approx(np.sinh(0.5) / np.sinh(1.0), rel=1e-12)
     # kappa -> 0 limit is the line through the origin
-    g0 = ou_guidance(1e-12, [1.0])
     ts = np.linspace(0, 1, 9)
-    assert np.max(np.abs(g0(ts)[:, 0] - ts)) < 1e-12
-
-
-def test_ou_matches_lqg_mean_bitwise():
-    # same formula, shared code path
-    from mfbridge.lqg import LqgProblem, solve_lqg
-
-    p = LqgProblem(0.8, 2.0, 1.5, 0.3)
-    sol = solve_lqg(p)
-    g = ou_guidance(0.8, [1.5])
-    ts = np.linspace(0.0, 1.0, 23)
-    assert np.array_equal(g(ts)[:, 0], sol.m(ts))
-
-
-def test_ou_linear_agreement_for_tiny_kappa():
-    ts = np.linspace(0, 1, 101)
-    g_ou = ou_guidance(1e-9, [2.0])
-    g_lin = linear_guidance([0.0], [2.0])
-    assert np.max(np.abs(g_ou(ts) - g_lin(ts))) < 1e-12
+    assert np.max(np.abs(sinh_ratio(1e-12, ts) - ts)) < 1e-12
 
 
 def test_sinh_ratio_large_kappa_stable():

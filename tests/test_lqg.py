@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfbridge import oracles
+import oracles
 from mfbridge.errors import InfeasibleTargetError
 from mfbridge.lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 

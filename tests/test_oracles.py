@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfbridge import oracles
+import oracles
 from mfbridge.lqg import LqgProblem, solve_lqg
 from mfbridge.schedule import PwcSchedule
 

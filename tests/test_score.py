@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfbridge import oracles
+import oracles
 from mfbridge.greens import build_tables
 from mfbridge.guidance import linear_guidance
 from mfbridge.schedule import PwcSchedule
@@ -48,6 +48,24 @@ def test_mixture_validation():
         GaussianMixture.isotropic([0.5, 0.5], [0.0, 1.0], [0.1, 0.0])  # non-PD
     gm = GaussianMixture.isotropic([0.6, 0.4], [0.0, 1.5], [0.2, 0.3])
     assert gm.mean[0] == pytest.approx(0.6)
+
+
+def test_mixture_shapes_are_strict():
+    # (3, 2) means with 2 weights is neither (K, d) nor transposed silently
+    with pytest.raises(ValueError, match="not \\(K, d\\)"):
+        GaussianMixture.isotropic([0.5, 0.5], np.zeros((3, 2)), [0.1, 0.1])
+    with pytest.raises(ValueError, match="not \\(K, d\\)"):
+        GaussianMixture([0.5, 0.5], np.zeros((3, 2)), np.stack([np.eye(3)] * 2))
+    with pytest.raises(ValueError, match="at least one component"):
+        GaussianMixture.isotropic([], [], [])
+    with pytest.raises(ValueError, match="d >= 1"):
+        GaussianMixture.isotropic([0.5, 0.5], np.zeros((2, 0)), [0.1, 0.1])
+    with pytest.raises(ValueError, match="sigma <= 0"):
+        GaussianMixture.isotropic([0.5, 0.5], [0.0, 1.0], [0.1, -0.1])
+    gm = GaussianMixture.isotropic([0.6, 0.4], [0.0, 1.5], [0.2, 0.3])  # 1-d list: one scalar each
+    assert gm.means.shape == (2, 1)
+    gm = GaussianMixture.spatial_ar1([0.6, 0.4], [0.0, 1.5], [0.2, 0.3], rho=0.5, d=3)
+    assert np.array_equal(gm.means, [[0.0] * 3, [1.5] * 3])
 
 
 def test_ar1_covariance_structure():
@@ -184,7 +202,8 @@ def test_cross_validation_identity(ctx_a):
         xp = np.array([[x + h], [x - h]])
         dlogp = (marginal_density(ctx_a, t, xp, log=True)[0] - marginal_density(ctx_a, t, xp, log=True)[1]) / (2 * h)
         co = ctx_a.coeffs(t)
-        glog = lambda xx: -0.5 * co.a_plus * xx**2 + float(ctx_a.tables.theta_plus(t)[0]) * xx
+        th_plus = float(ctx_a.tables.sample([t]).theta_plus[0, 0])
+        glog = lambda xx: -0.5 * co.a_plus * xx**2 + th_plus * xx
         dlogG = (glog(x + h) - glog(x - h)) / (2 * h)
         assert abs(u - (dlogp - dlogG)) < 1e-4
 

@@ -6,6 +6,7 @@ import pytest
 
 import mfbridge.simulate as simulate
 from mfbridge.errors import ProbeError
+from mfbridge.guidance import constant_guidance
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
 from mfbridge.simulate import (SimConfig, guidance_for_mode, run_bridge, sample_initial,
@@ -28,8 +29,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(guidance_mode="nope")
     with pytest.raises(ValueError):
-        small_config(guidance_mode="fixed")  # needs fixed_nu
-    with pytest.raises(ValueError):
         small_config(n_steps=5)
 
 
@@ -42,7 +41,7 @@ def test_guidance_modes_resolve():
     assert np.allclose(guidance_for_mode(cfg0)(0.5), 0.0)
     cfgm = small_config(guidance_mode="ia-target-mean")
     assert np.allclose(guidance_for_mode(cfgm)(0.5), cfg.target.mean)
-    cfgf = small_config(guidance_mode="fixed", fixed_nu=np.array([2.0]))
+    cfgf = small_config(guidance=constant_guidance([2.0]))
     assert np.allclose(guidance_for_mode(cfgf)(0.9), 2.0)
 
 
