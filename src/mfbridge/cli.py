@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +35,32 @@ DENSITY_GRID_POINTS = 501
 # small writers
 # ----------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list, rows) -> None:
+@contextmanager
+def _atomic_open(path: Path):
+    """Write through a temporary file in the target's directory, moved into place on success.
+
+    A failure part-way leaves neither the target nor the temporary file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -109,14 +126,14 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     affine = d == 1
     snap_times = tuple(np.linspace(0.01, 0.99, AFFINE_FIT_SLICES)) if affine else ()
 
-    reports = {}
     t_wall = time.perf_counter()
-    for mode in config.modes:
-        sim_cfg = _sim_config(config, mode, sweep_value, snapshot_times=snap_times)
-        tables = tables_for_mode(sim_cfg)
-        reports[mode] = (run_bridge(sim_cfg, tables), sim_cfg, tables)
-        if dump_coefficients:
-            _dump_coefficients(out_dir / f"coefficients_{mode}.csv", tables)
+    sim_cfgs = [_sim_config(config, mode, sweep_value, snapshot_times=snap_times) for mode in config.modes]
+    tables = [tables_for_mode(sim_cfg) for sim_cfg in sim_cfgs]
+    runs = run_bridge(sim_cfgs, tables)
+    reports = dict(zip(config.modes, zip(runs, sim_cfgs, tables)))
+    if dump_coefficients:
+        for mode, tab in zip(config.modes, tables):
+            _dump_coefficients(out_dir / f"coefficients_{mode}.csv", tab)
     wall = time.perf_counter() - t_wall
 
     n = config.n_steps
@@ -331,7 +348,7 @@ def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, 
             guidance_mode="mf-linear", guidance=traj,
             n_particles=config.n_particles, n_steps=config.n_steps, seed=config.seed,
         )
-        rep = run_bridge(sim_cfg)
+        rep, = run_bridge([sim_cfg])
         return rep.mean_trace[mid_steps]
 
     d = target.dim

@@ -375,7 +375,7 @@ class KernelCoeffs:
     nu: np.ndarray
 
     def row(self, j: int) -> "KernelCoeffs":
-        return KernelCoeffs(*(getattr(self, f.name)[j] for f in fields(self)))
+        return type(self)(*(getattr(self, f.name)[j] for f in fields(self)))
 
 
 @dataclass

@@ -83,9 +83,9 @@ class ExperimentConfig:
         covariance; a spec's error names the spec (``target``/``initial``).
         """
         if self.sweep_axis == "dimension" and sweep_value is not None:
-            return dsweep_mixtures(int(sweep_value))
+            return dsweep_mixtures(_whole(sweep_value))
         if self.sweep_axis == "components" and sweep_value is not None:
-            return ksweep_mixtures(int(sweep_value), self.d)
+            return ksweep_mixtures(_whole(sweep_value), self.d)
         target, initial = self.target, self.initial
         if self.sweep_axis == "ar-rho" and sweep_value is not None:
             target = replace(target, ar_rho=float(sweep_value))
@@ -104,7 +104,7 @@ class ExperimentConfig:
         if self.sweep_axis not in SWEEP_TAGS:
             return [None]
         if self.sweep_axis in ("dimension", "components"):
-            return [int(v) for v in self.sweep_values]
+            return [_whole(v) for v in self.sweep_values]
         return list(self.sweep_values)
 
     def point_tag(self, value) -> str:
@@ -114,12 +114,19 @@ class ExperimentConfig:
 
     def dim_for(self, sweep_value=None) -> int:
         if self.sweep_axis == "dimension" and sweep_value is not None:
-            return int(sweep_value)
+            return _whole(sweep_value)
         return self.d
 
     def echo(self) -> dict:
         out = asdict(self)
         return out
+
+
+def _whole(value) -> int:
+    """A value on the dimension or components axis, which counts zones or components."""
+    if not float(value).is_integer():
+        raise ValueError(f"a count must be a whole number, got {value:g}")
+    return int(value)
 
 
 def dsweep_mixtures(d: int):
@@ -408,7 +415,7 @@ def validate_config(config: ExperimentConfig) -> list:
     for value in config.sweep_values if config.sweep_axis in SWEEP_TAGS else [None]:
         try:
             config.mixtures(value)
-        except (ValueError, OverflowError) as exc:  # int(inf) overflows on the integer axes
+        except ValueError as exc:
             errors.append(f"{exc}" if value is None else f"sweep point {config.point_tag(value)}: {exc}")
     if errors:
         return errors

@@ -8,13 +8,18 @@ Conventions:
     once per run over that step grid, and step j reads row j of the table;
   * noise comes from counter-based streams keyed by (seed, stream id), one
     stream per step plus one for the initial draw, so runs are bit-for-bit
-    reproducible regardless of how particles are partitioned over workers.
+    reproducible regardless of how particles are partitioned over workers;
+  * ``run_bridge`` advances several guidance modes of one problem together:
+    their positions are stacked as one group of rows per mode, and the
+    initial draw and each step's (B, d) draw are made once and shared, which
+    is exactly what separate runs with the same seed would draw.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -90,15 +95,22 @@ def tables_for_mode(config: SimConfig) -> CoeffTables:
 
 @dataclass
 class EnsembleState:
-    positions: np.ndarray     # (B, d)
+    """Particles of M stacked modes: one group of B rows per mode, in mode order.
+
+    The modes share the initial draw, so ``labels`` and ``shifts`` are one
+    mode's.
+    """
+
+    positions: np.ndarray     # (M * B, d)
     labels: np.ndarray        # (B,) initial-component assignment
     shifts: np.ndarray | None  # (B, d) per-particle start points, None for delta
-    energy: np.ndarray        # (B,) accumulated int ||u||^2 dt
-    zone_energy: np.ndarray   # (d,) ensemble-mean energy per coordinate
+    energy: np.ndarray        # (M * B,) accumulated int ||u||^2 dt
+    zone_energy: np.ndarray   # (M, d) per-mode ensemble-mean energy per coordinate
     step_index: int = 0
 
 
-def sample_initial(config: SimConfig, rng: np.random.Generator) -> EnsembleState:
+def sample_initial(config: SimConfig, rng: np.random.Generator, n_modes: int = 1) -> EnsembleState:
+    """The initial draw, repeated for each of ``n_modes`` stacked modes."""
     B, d = config.n_particles, config.dim
     if config.initial is None:
         positions = np.zeros((B, d))
@@ -116,28 +128,55 @@ def sample_initial(config: SimConfig, rng: np.random.Generator) -> EnsembleState
             L = np.linalg.cholesky(mix.covariances[j])
             positions[mask] = mix.means[j] + noise[mask] @ L.T
         shifts = positions.copy()
-    return EnsembleState(positions, labels, shifts, np.zeros(B), np.zeros(d))
+    return EnsembleState(np.tile(positions, (n_modes, 1)), labels, shifts,
+                         np.zeros(n_modes * B), np.zeros((n_modes, d)))
+
+
+def _particle_mean(by_mode: np.ndarray) -> np.ndarray:
+    """(M, B, d) -> (M, d): the mean over each mode's particles."""
+    return np.ones(by_mode.shape[1]) @ by_mode / by_mode.shape[1]
+
+
+def _mean_std(by_mode: np.ndarray):
+    """Mean and standard deviation over the particles of each mode, (M, d) each."""
+    mean = _particle_mean(by_mode)
+    dev = by_mode - mean[:, None, :]
+    dev *= dev
+    return mean, np.sqrt(_particle_mean(dev))
+
+
+def _first_bad_row(values: np.ndarray, n_particles: int) -> str:
+    bad = int(np.argwhere(~np.all(np.isfinite(values), axis=1))[0, 0])
+    return f"particle {bad % n_particles} of mode {bad // n_particles}"
 
 
 def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, rng: np.random.Generator,
-         closed_loop: bool = False) -> EnsembleState:
-    """One Euler-Maruyama update at row ``state.step_index`` of the step table.
+         closed_loop: np.ndarray | None = None) -> EnsembleState:
+    """One Euler-Maruyama update of every mode at row ``state.step_index`` of the step table.
 
-    Mutates and returns ``state``.
+    One (B, d) normal draw from ``rng`` is added to every mode's rows.
+    ``closed_loop`` marks the modes whose kernel slots re-centre at their
+    batch mean (None: no mode).  Mutates and returns ``state``.
     """
     t = state.step_index * dt
-    nu_hat = state.positions.mean(axis=0) if closed_loop else None
-    u = ctx.score_batch(table.row(state.step_index), state.positions, state.shifts, nu_hat)
+    M = ctx.n_modes
+    d = state.positions.shape[1]
+    B = state.positions.shape[0] // M
+    co = table.row(state.step_index)
+    by_mode = state.positions.reshape(M, B, d)
+    nu_hat = None
+    if closed_loop is not None:
+        nu_hat = np.where(closed_loop[:, None], _particle_mean(by_mode), co.nu.reshape(M, d))
+    u = ctx.score_batch(co, state.positions, state.shifts, nu_hat)
     if not np.all(np.isfinite(u)):
-        bad = int(np.argwhere(~np.all(np.isfinite(u), axis=1))[0, 0])
-        raise DivergedError(f"non-finite drift for particle {bad} at t={t:.6f}")
-    state.energy += np.sum(u * u, axis=1) * dt
-    state.zone_energy += np.mean(u * u, axis=0) * dt
-    xi = rng.standard_normal(state.positions.shape)
-    state.positions += u * dt + np.sqrt(dt) * xi
+        raise DivergedError(f"non-finite drift for {_first_bad_row(u, B)} at t={t:.6f}")
+    uu = u * u
+    state.energy += uu @ np.ones(d) * dt
+    state.zone_energy += _particle_mean(uu.reshape(M, B, d)) * dt
+    xi = rng.standard_normal((B, d))
+    by_mode += u.reshape(M, B, d) * dt + np.sqrt(dt) * xi
     if not np.all(np.isfinite(state.positions)):
-        bad = int(np.argwhere(~np.all(np.isfinite(state.positions), axis=1))[0, 0])
-        raise DivergedError(f"non-finite position for particle {bad} at t={t + dt:.6f}")
+        raise DivergedError(f"non-finite position for {_first_bad_row(state.positions, B)} at t={t + dt:.6f}")
     state.step_index += 1
     return state
 
@@ -199,91 +238,115 @@ def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
     return out
 
 
-def run_bridge(config: SimConfig, tables: CoeffTables | None = None) -> EnergyReport:
-    """Full bridge simulation under the configured guidance mode.
+SHARED_FIELDS = ("target", "initial", "schedule", "n_particles", "n_steps", "seed",
+                 "n_saved_paths", "snapshot_times")
 
-    ``tables`` defaults to ``tables_for_mode(config)``.
+
+def _same(a, b) -> bool:
+    """Value equality that looks into dataclasses and compares arrays elementwise."""
+    if is_dataclass(a) and type(a) is type(b):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def run_bridge(configs: Sequence[SimConfig], tables: Sequence[CoeffTables] | None = None) -> list[EnergyReport]:
+    """Bridge simulation of several guidance modes in one stacked pass.
+
+    The configs differ only in guidance (``guidance_mode`` and
+    ``guidance``); every field in ``SHARED_FIELDS`` must be equal, else
+    ValueError.  The modes share the initial draw and each step's noise
+    draw, which is exactly what separate runs with one seed would draw.
+    ``tables`` (one per config) defaults to ``tables_for_mode`` of each.
+    Returns one ``EnergyReport`` per config, in order; each carries the
+    wall time of the whole pass.
     """
     t_start = time.perf_counter()
-    if tables is None:
-        tables = tables_for_mode(config)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    for other in configs[1:]:
+        for name in SHARED_FIELDS:
+            if not _same(getattr(config, name), getattr(other, name)):
+                raise ValueError(f"stacked configs differ in {name}")
+    tables = [tables_for_mode(c) for c in configs] if tables is None else list(tables)
+    if len(tables) != len(configs):
+        raise ValueError(f"{len(tables)} tables for {len(configs)} configs")
     ctx = ScoreContext(tables, config.target, config.initial)
-    B, d, n = config.n_particles, config.dim, config.n_steps
+    M, B, d, n = len(configs), config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
-    rng_init = _stream(config.seed, 0)
-    state = sample_initial(config, rng_init)
-    closed_loop = config.guidance_mode == "closed-loop"
+    state = sample_initial(config, _stream(config.seed, 0), M)
+    closed_loop = np.array([c.guidance_mode == "closed-loop" for c in configs])
+    closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(config.n_saved_paths, B)
 
-    power = np.empty(n)
-    mean_trace = np.empty((n + 1, d))
-    std_trace = np.empty((n + 1, d))
-    trajectories = np.empty((n_saved, n + 1, d))
-    mean_trace[0] = state.positions.mean(axis=0)
-    std_trace[0] = state.positions.std(axis=0)
-    trajectories[:, 0, :] = state.positions[:n_saved]
+    by_mode = state.positions.reshape(M, B, d)
+    power = np.empty((M, n))
+    mean_trace = np.empty((M, n + 1, d))
+    std_trace = np.empty((M, n + 1, d))
+    trajectories = np.empty((M, n_saved, n + 1, d))
+    mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode)
+    trajectories[:, :, 0] = by_mode[:, :n_saved]
 
     snapshot_steps = {min(n, max(0, int(round(ts * n)))): float(ts) for ts in config.snapshot_times}
     snapshots = {}
     if 0 in snapshot_steps:
-        snapshots[snapshot_steps[0]] = state.positions.copy()
+        snapshots[snapshot_steps[0]] = by_mode.copy()
 
-    prev_energy = np.zeros(B)
+    energy = state.energy.reshape(M, B)
+    prev_energy = np.zeros((M, B))
     for j in range(n):
-        rng = _stream(config.seed, 1 + j)
-        step(state, ctx, table, dt, rng, closed_loop=closed_loop)
-        power[j] = float(np.mean((state.energy - prev_energy))) / dt
-        prev_energy = state.energy.copy()
-        mean_trace[j + 1] = state.positions.mean(axis=0)
-        std_trace[j + 1] = state.positions.std(axis=0)
-        trajectories[:, j + 1, :] = state.positions[:n_saved]
+        step(state, ctx, table, dt, _stream(config.seed, 1 + j), closed_loop)
+        power[:, j] = np.mean(energy - prev_energy, axis=1) / dt
+        prev_energy = energy.copy()
+        mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode)
+        trajectories[:, :, j + 1] = by_mode[:, :n_saved]
         if j + 1 in snapshot_steps:
-            snapshots[snapshot_steps[j + 1]] = state.positions.copy()
+            snapshots[snapshot_steps[j + 1]] = by_mode.copy()
 
     # terminal-basin attribution from the posterior responsibilities just
     # before the pinning time
-    t_final = 1.0 - 0.5 * dt
-    co = ctx.coeffs(t_final)
-    w, _ = ctx._affine_inputs(co, state.positions, state.shifts, None)
-    pi_bar, _ = ctx._posterior_from_probe(co, w)
-    terminal_labels = np.argmax(pi_bar, axis=1)
+    pi_bar = ctx.responsibilities(ctx.coeffs(1.0 - 0.5 * dt), state.positions, state.shifts)
+    terminal_labels = np.argmax(pi_bar, axis=1).reshape(M, B)
 
-    primary = state.labels if config.initial is not None else terminal_labels
     attribution = "initial" if config.initial is not None else "terminal"
     n_primary = config.initial.n_components if config.initial is not None else config.target.n_components
-
-    comp = _per_component(state.energy, primary, n_primary)
-    comp_term = _per_component(state.energy, terminal_labels, config.target.n_components)
-    fractions = np.array([comp[k][2] / B for k in range(n_primary)])
-
-    term_mean, term_std = {}, {}
-    for k in range(config.target.n_components):
-        mask = terminal_labels == k
-        if np.any(mask):
-            term_mean[k] = state.positions[mask].mean(axis=0)
-            term_std[k] = state.positions[mask].std(axis=0)
-
-    energy_trace = np.concatenate([[0.0], np.cumsum(power) * dt])
-    return EnergyReport(
-        total=float(state.energy.mean()),
-        stderr=float(state.energy.std(ddof=1) / np.sqrt(B)) if B > 1 else None,
-        particle_energy=state.energy,
-        component_energy=comp,
-        component_energy_terminal=comp_term,
-        attribution=attribution,
-        fractions=fractions,
-        power=power,
-        energy_trace=energy_trace,
-        mean_trace=mean_trace,
-        std_trace=std_trace,
-        terminal_mean=term_mean,
-        terminal_std=term_std,
-        zone_energy=state.zone_energy,
-        trajectories=trajectories,
-        snapshots=snapshots,
-        shifts=state.shifts,
-        seed=config.seed,
-        guidance_mode=config.guidance_mode,
-        wall_seconds=time.perf_counter() - t_start,
-    )
+    n_target = config.target.n_components
+    wall = time.perf_counter() - t_start
+    reports = []
+    for m, cfg in enumerate(configs):
+        e, labels, final = energy[m], terminal_labels[m], by_mode[m]
+        primary = state.labels if config.initial is not None else labels
+        comp = _per_component(e, primary, n_primary)
+        term_mean, term_std = {}, {}
+        for k in range(n_target):
+            mask = labels == k
+            if np.any(mask):
+                term_mean[k] = final[mask].mean(axis=0)
+                term_std[k] = final[mask].std(axis=0)
+        reports.append(EnergyReport(
+            total=float(e.mean()),
+            stderr=float(e.std(ddof=1) / np.sqrt(B)) if B > 1 else None,
+            particle_energy=e,
+            component_energy=comp,
+            component_energy_terminal=_per_component(e, labels, n_target),
+            attribution=attribution,
+            fractions=np.array([comp[k][2] / B for k in range(n_primary)]),
+            power=power[m],
+            energy_trace=np.concatenate([[0.0], np.cumsum(power[m]) * dt]),
+            mean_trace=mean_trace[m],
+            std_trace=std_trace[m],
+            terminal_mean=term_mean,
+            terminal_std=term_std,
+            zone_energy=state.zone_energy[m],
+            trajectories=trajectories[m],
+            snapshots={ts: snap[m] for ts, snap in snapshots.items()},
+            shifts=state.shifts,
+            seed=config.seed,
+            guidance_mode=cfg.guidance_mode,
+            wall_seconds=wall,
+        ))
+    return reports

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the closed-form code paths it
 checks: fixed-step RK4 for the Riccati / linear coefficient ODEs, bisection
 shooting for the two-point boundary values (superposition for the linear mean
-block), and log-domain Simpson quadrature for the bridge potential psi and its
-score.  Inner loops use plain floats on
+block), log-domain Simpson quadrature for the bridge potential psi and its
+score, and the per-component eigenbasis posterior the score used before it
+grouped components into shared bases.  Inner loops use plain floats on
 purpose; the oracles must stay cheap enough to run inside the gate suite.
 """
 
@@ -31,6 +32,7 @@ __all__ = [
     "psi_quadrature",
     "psi_score_fd",
     "simulate_affine_bridge",
+    "posterior_reference",
 ]
 
 # RK4 step bounds: geometric growth out of the singular endpoint, fixed elsewhere.
@@ -403,3 +405,35 @@ def simulate_affine_bridge(kappa, S_of_t, s_of_t, n_particles=8000, n_steps=2500
         energy += u * u * dt
         x += (-kappa * x + u) * dt + rng.standard_normal(n_particles) * math.sqrt(dt)
     return float(energy.mean()), float(energy.std(ddof=1) / math.sqrt(n_particles))
+
+
+# ----------------------------------------------------------------------------
+# mixture posterior, one component at a time
+# ----------------------------------------------------------------------------
+
+def posterior_reference(target, K: float, w: np.ndarray):
+    """Responsibilities (B, K) and per-component posterior means (B, K, d) of probes w (B, d).
+
+    The probe is a pseudo-observation of the target with noise covariance
+    I/K.  Each component is handled in its own eigenbasis, with its own
+    rotation in and out, and the log-weights are normalised after a max shift.
+    """
+    B, d = w.shape
+    n_comp = target.n_components
+    log_w = np.empty((B, n_comp))
+    m_bar = np.empty((B, n_comp, d))
+    for k in range(n_comp):
+        lam, U = np.linalg.eigh(target.covariances[k])
+        pw = w @ U
+        vk = target.means[k] @ U
+        noise = lam + 1.0 / K
+        log_w[:, k] = (
+            np.log(target.weights[k])
+            - 0.5 * np.sum((pw - vk) ** 2 / noise, axis=1)
+            - 0.5 * np.sum(np.log(noise))
+            - 0.5 * d * np.log(2.0 * np.pi)
+        )
+        m_bar[:, k, :] = ((vk + K * lam * pw) / (1.0 + K * lam)) @ U.T
+    pi_bar = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    pi_bar /= pi_bar.sum(axis=1, keepdims=True)
+    return pi_bar, m_bar

@@ -28,7 +28,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 def _run(target, initial, schedule, mode, n_particles, n_steps=2500, seed=20250101):
     cfg = SimConfig(target=target, schedule=schedule, initial=initial,
                     guidance_mode=mode, n_particles=n_particles, n_steps=n_steps, seed=seed)
-    return run_bridge(cfg)
+    return run_bridge([cfg])[0]
 
 
 def _scenario(name):
@@ -308,7 +308,7 @@ def test_criterion_8_fixed_point_consistency():
             cfg = SimConfig(target=target, schedule=sched, initial=initial,
                             guidance_mode="mf-linear", guidance=traj,
                             n_particles=8000, n_steps=2500, seed=808)
-            return run_bridge(cfg).mean_trace[mid_steps]
+            return run_bridge([cfg])[0].mean_trace[mid_steps]
 
         nu0 = np.repeat(target.mean[None, :], 8, axis=0)
         res = fixed_point_guidance(sched, mean_map, nu0, tol=2e-4, max_iter=15)
@@ -329,7 +329,7 @@ def test_criterion_9_trivial_limits():
     worst_u = max(abs(score_at(ctx0, t, [x])[0])
                   for t in (0.05, 0.25, 0.5, 0.75, 0.95) for x in np.linspace(-4, 4, 17))
     cfg = SimConfig(target=ctx0.target, schedule=sched0, n_particles=2000, n_steps=250, seed=9)
-    zero_energy = run_bridge(cfg).total
+    zero_energy = run_bridge([cfg])[0].total
 
     # single-component target: exactly affine score
     sched = geometric_schedule(12.0, 0.65, 8)

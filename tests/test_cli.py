@@ -281,7 +281,9 @@ def test_cli_single_particle_summary_is_strict_json(tmp_path):
     ["--preset", "ar-sweep", "--values", "0.5,1.5"],   # rho = 1.5 is not a correlation
     ["--preset", "d-sweep", "--values", "1,0"],        # d = 0 zones
     ["--preset", "k-sweep", "--values", "2,0"],        # K = 0 components
-], ids=["rho", "d", "K"])
+    ["--preset", "d-sweep", "--values", "2.5"],        # a zone count is whole
+    ["--preset", "k-sweep", "--values", "2.7"],        # a component count is whole
+], ids=["rho", "d", "K", "d-fraction", "K-fraction"])
 def test_sweep_rejects_any_bad_point_before_running(verb_args, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", *verb_args, "--particles", "20", "--steps", "20", "--modes", "mf", "--out", str(out)])
@@ -299,3 +301,33 @@ def test_cli_dump_coefficients(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[:5] == ["t", "a_plus", "a_minus", "b_minus", "c_minus"]
     assert "lambda_y" in header
+
+
+@pytest.mark.parametrize("write", ["csv", "json"])
+def test_failed_write_leaves_no_file(tmp_path, write):
+    from mfbridge.cli import _write_csv, _write_json
+
+    class Unserialisable:
+        pass
+
+    def rows():
+        yield [1, 2]
+        raise RuntimeError("row source failed")
+
+    target = tmp_path / "out" / f"artifact.{write}"
+    with pytest.raises((RuntimeError, TypeError)):
+        if write == "csv":
+            _write_csv(target, ["a", "b"], rows())
+        else:
+            _write_json(target, {"ok": 1, "bad": Unserialisable()})
+    assert list(target.parent.iterdir()) == []
+
+
+def test_write_replaces_whole_file(tmp_path):
+    from mfbridge.cli import _write_csv
+
+    target = tmp_path / "table.csv"
+    _write_csv(target, ["a"], [[1], [2], [3]])
+    _write_csv(target, ["a"], [[4]])
+    assert target.read_bytes() == b"a\r\n4\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]

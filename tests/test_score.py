@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from mfbridge.greens import build_tables
 from mfbridge.guidance import linear_guidance
-from mfbridge.schedule import PwcSchedule
+from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import (
     GaussianMixture,
     ScoreContext,
@@ -307,7 +308,7 @@ def test_marginal_matches_monte_carlo_histogram(ctx_b, paper_schedule, dr_target
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
                     guidance_mode="mf-linear", n_particles=4000, n_steps=600,
                     seed=123, snapshot_times=(0.5,))
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     xs = rep.snapshots[0.5][:, 0]
     edges = np.linspace(-1, 6, 36)
     hist, _ = np.histogram(xs, bins=edges, density=True)
@@ -330,7 +331,7 @@ def test_marginal_density_snapshots_wide_scenario(paper_schedule, dr_target, ini
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_a,
                     guidance_mode="mf-linear", n_particles=8000, n_steps=1000,
                     seed=321, snapshot_times=times)
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     for t in times:
         xs = rep.snapshots[t][:, 0]
         edges = np.linspace(xs.min() - 0.5, xs.max() + 0.5, 41)
@@ -341,3 +342,65 @@ def test_marginal_density_snapshots_wide_scenario(paper_schedule, dr_target, ini
         n_bin = hist * widths * len(xs)
         se = np.sqrt(np.maximum(n_bin, 1.0)) / (len(xs) * widths)
         assert np.all(np.abs(hist - p) < 4 * se + 0.01), t
+
+
+# ----------------------------------------------------------------------------
+# shared-basis posterior against the per-component reference
+# ----------------------------------------------------------------------------
+
+N_GRID = 2500
+_tables_by_dim = {}
+
+
+def _zero_guidance_tables(d):
+    if d not in _tables_by_dim:
+        sched = geometric_schedule(12.0, 0.65, 8)
+        _tables_by_dim[d] = build_tables(sched, np.zeros((sched.n_intervals, d)), N_GRID)
+    return _tables_by_dim[d]
+
+
+def _random_target(kind, n_comp, d, rng):
+    weights = rng.dirichlet(np.ones(n_comp))
+    means = rng.uniform(-3.0, 3.0, size=(n_comp, d))
+    sigmas = rng.uniform(0.2, 1.5, size=n_comp)
+    if kind == "isotropic":
+        return GaussianMixture.isotropic(weights, means, sigmas)
+    if kind == "ar1":
+        return GaussianMixture.spatial_ar1(weights, means, sigmas, rng.uniform(0.0, 0.95), d)
+    covs = []
+    for s in sigmas:  # random orientations: the components share no eigenbasis
+        A = rng.standard_normal((d, d))
+        covs.append(s**2 * (A @ A.T / d + 0.1 * np.eye(d)))
+    return GaussianMixture(weights, means, np.array(covs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["isotropic", "ar1", "spd"]), n_comp=st.integers(1, 4), d=st.integers(1, 6),
+       step=st.integers(0, N_GRID), seed=st.integers(0, 2**32 - 1))
+def test_shared_basis_posterior_matches_reference(kind, n_comp, d, step, seed):
+    # t runs over the step grid; steps 0 and N_GRID clip to the two ends
+    rng = np.random.default_rng(seed)
+    target = _random_target(kind, n_comp, d, rng)
+    ctx = ScoreContext(_zero_guidance_tables(d), target)
+    assert len(ctx.bases) == (n_comp if kind == "spd" and d > 1 else 1)
+    co = ctx.coeffs(step / N_GRID)
+    w = target.means[rng.integers(n_comp, size=64)] + rng.normal(0.0, 1.5, size=(64, d))
+    pi_ref, m_ref = oracles.posterior_reference(target, co.K, w)
+    p, y_hat = ctx._posterior(co, w)
+    pi = np.empty_like(pi_ref)
+    pi[:, ctx._order] = p.T
+    # the relative rounding of a responsibility grows with the size of its
+    # log-weight in both evaluators; below 1e-18 it cannot move y_hat
+    np.testing.assert_allclose(pi, pi_ref, rtol=1e-12, atol=1e-30)
+    # y_hat averages the per-component means; an entry that cancels towards 0
+    # keeps the rounding of the terms it averages, hence the absolute floor
+    np.testing.assert_allclose(y_hat, np.einsum("bk,bkd->bd", pi_ref, m_ref),
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(m_ref)))
+
+
+def test_stacked_context_needs_one_schedule(paper_schedule, free_tables, dr_target):
+    paper = build_tables(paper_schedule, np.zeros((paper_schedule.n_intervals, 1)))
+    with pytest.raises(ValueError, match="share the schedule"):
+        ScoreContext([paper, free_tables], dr_target)
+    with pytest.raises(ValueError, match="share the schedule"):
+        ScoreContext([paper, build_tables(paper_schedule, np.zeros((paper_schedule.n_intervals, 1)), 100)], dr_target)

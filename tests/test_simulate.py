@@ -76,7 +76,7 @@ def test_pure_diffusion_when_score_vanishes():
         target=GaussianMixture.isotropic([1.0], [0.0], [1.0]),
         schedule=sched, n_particles=20000, n_steps=200, seed=5,
     )
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     assert rep.total < 1e-10
     assert abs(rep.mean_trace[-1, 0]) < 4 / np.sqrt(20000)
     assert abs(rep.std_trace[-1, 0] - 1.0) < 0.03
@@ -87,7 +87,7 @@ def test_single_gaussian_terminal_moments():
         target=GaussianMixture.isotropic([1.0], [1.2], [0.4]),
         n_particles=8000, n_steps=1000,
     )
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     se_mean = rep.std_trace[-1, 0] / np.sqrt(8000)
     assert abs(rep.mean_trace[-1, 0] - 1.2) < 3 * se_mean + 1e-3
     assert abs(rep.std_trace[-1, 0] - 0.4) < 3 * 0.4 / np.sqrt(2 * 8000) + 0.4 / 1000
@@ -95,19 +95,19 @@ def test_single_gaussian_terminal_moments():
 
 def test_seed_determinism():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    r1 = run_bridge(cfg)
-    r2 = run_bridge(cfg)
+    r1 = run_bridge([cfg])[0]
+    r2 = run_bridge([cfg])[0]
     assert r1.total == r2.total
     assert np.array_equal(r1.mean_trace, r2.mean_trace)
     assert np.array_equal(r1.trajectories, r2.trajectories)
-    r3 = run_bridge(small_config(seed=8, initial=cfg.initial))
+    r3 = run_bridge([small_config(seed=8, initial=cfg.initial)])[0]
     assert r3.total != r1.total
 
 
 def test_energy_decomposition_identity():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]),
                        n_particles=3000, n_steps=400)
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     total_from_parts = sum(rep.fractions[k] * rep.component_energy[k][0]
                            for k in rep.component_energy if rep.component_energy[k][2] > 0)
     assert abs(total_from_parts - rep.total) < 1e-10
@@ -118,14 +118,14 @@ def test_energy_decomposition_identity():
 
 def test_energy_nonnegative_and_monotone():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     assert np.all(np.diff(rep.energy_trace) >= -1e-12)
     assert np.all(rep.power >= 0)
 
 
 def test_terminal_attribution_for_delta_start():
     cfg = small_config(n_particles=2000, n_steps=500)
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     assert rep.attribution == "terminal"
     fr = rep.fractions
     assert abs(fr[0] - 0.6) < 3 * np.sqrt(0.6 * 0.4 / 2000) + 0.02
@@ -139,7 +139,7 @@ def test_multi_zone_shapes_and_energy_split():
     initial = GaussianMixture.isotropic([0.6, 0.4], [[1.5] * d, [5.5] * d], [0.5, 0.7])
     cfg = SimConfig(target=target, schedule=geometric_schedule(12.0, 0.65, 8),
                     initial=initial, n_particles=500, n_steps=300, seed=3)
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     assert rep.mean_trace.shape == (301, d)
     assert rep.zone_energy.shape == (d,)
     assert rep.zone_energy.sum() == pytest.approx(rep.total, abs=1e-9)
@@ -149,10 +149,10 @@ def test_multi_zone_shapes_and_energy_split():
 def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
                     guidance_mode="mf-linear", n_particles=4000, n_steps=800, seed=21)
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     cfg_cl = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
                        guidance_mode="closed-loop", n_particles=4000, n_steps=800, seed=21)
-    rep_cl = run_bridge(cfg_cl)
+    rep_cl = run_bridge([cfg_cl])[0]
     assert abs(rep_cl.total / rep.total - 1.0) < 0.02
     # terminal law matches the target mixture component-wise
     for rp in (rep, rep_cl):
@@ -165,7 +165,7 @@ def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
 
 def test_snapshots_recorded():
     cfg = small_config(snapshot_times=(0.0, 0.5, 1.0))
-    rep = run_bridge(cfg)
+    rep = run_bridge([cfg])[0]
     assert set(rep.snapshots) == {0.0, 0.5, 1.0}
     assert rep.snapshots[0.5].shape == (400, 1)
     assert np.all(rep.snapshots[0.0] == 0.0)
@@ -213,4 +213,45 @@ def test_probe_failure_raises_before_first_step(monkeypatch):
     monkeypatch.setattr(simulate, "step", no_step)
     # first step time at or after 0.375 on the 250-step grid
     with pytest.raises(ProbeError, match=r"at t=0\.376"):
-        run_bridge(cfg, tables)
+        run_bridge([cfg], [tables])
+
+
+def _stacked_configs():
+    base = dict(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]), n_particles=300)
+    return [small_config(guidance_mode=mode, **base)
+            for mode in ("mf-linear", "ia-zero", "ia-target-mean", "closed-loop")]
+
+
+def test_stacked_run_equals_single_runs():
+    # the modes share every draw, so one stacked pass reproduces each
+    # single-mode run up to rounding
+    configs = _stacked_configs()
+    stacked = run_bridge(configs)
+    assert [r.guidance_mode for r in stacked] == [c.guidance_mode for c in configs]
+    for cfg, rep in zip(configs, stacked):
+        single, = run_bridge([cfg])
+        assert rep.total == pytest.approx(single.total, rel=1e-13, abs=0)
+        for name in ("power", "mean_trace", "zone_energy", "particle_energy", "trajectories"):
+            np.testing.assert_allclose(getattr(rep, name), getattr(single, name), rtol=1e-13, atol=0, err_msg=name)
+        for k, (e, se, n) in single.component_energy.items():
+            assert rep.component_energy[k][2] == n
+            assert rep.component_energy[k][0] == pytest.approx(e, rel=1e-13, abs=0)
+            assert rep.component_energy[k][1] == pytest.approx(se, rel=1e-13, abs=0)
+    totals = [r.total for r in stacked]
+    assert len(set(totals)) == len(totals)
+
+
+@pytest.mark.parametrize("change", [dict(seed=8), dict(n_particles=301)], ids=["seed", "n_particles"])
+def test_stacked_run_rejects_configs_that_differ(change):
+    mf, ia0 = _stacked_configs()[:2]
+    other = SimConfig(**{**{f.name: getattr(ia0, f.name) for f in fields(SimConfig)}, **change})
+    with pytest.raises(ValueError, match=f"differ in {next(iter(change))}"):
+        run_bridge([mf, other])
+
+
+def test_stacked_run_accepts_equal_but_distinct_mixtures():
+    cfg = small_config()
+    twin = small_config(target=GaussianMixture.isotropic([0.6, 0.4], [0.0, 1.5], [0.2, 0.3]),
+                        guidance_mode="ia-zero")
+    assert twin.target is not cfg.target
+    assert len(run_bridge([cfg, twin])) == 2
