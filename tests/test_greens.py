@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from mfbridge.errors import CoefficientDomainError
@@ -223,3 +224,50 @@ def test_sample_looks_up_intervals_once(paper_schedule, monkeypatch):
     calls.clear()
     tab.sample(np.linspace(0.01, 0.99, 41))
     assert len(calls) == 1
+
+
+# one interval: a width weight (normalised below) and a stiffness, zero or hyperbolic
+_INTERVAL = st.tuples(st.floats(0.05, 1.0), st.one_of(st.just(0.0), st.floats(0.2, 20.0)))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(intervals=st.lists(_INTERVAL, min_size=1, max_size=5), d=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_mixed_zero_beta_schedules_match_rk4(intervals, d, seed, relerr):
+    widths, betas = (np.array(v) for v in zip(*intervals))
+    bp = np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+    bp[-1] = 1.0
+    sched = PwcSchedule(bp, betas, allow_zero_beta=True)
+    nu = np.random.default_rng(seed).uniform(-2.0, 3.0, size=(sched.n_intervals, d))
+    ts = np.linspace(0.015, 0.985, 23)
+    # the coth branch of interval i is defined iff a_plus enters it above omega_i
+    inner = bp[1:-1]
+    a_fwd = oracles.rk4_riccati_forward(sched, np.concatenate([inner, ts, [1.0]]))
+    hyp = betas[1:] > 0
+    ratio = a_fwd[:inner.size][hyp] / np.sqrt(betas[1:][hyp])
+    assume(np.all(np.abs(ratio - 1.0) > 1e-3))   # too close to the edge for the RK4 reference to decide
+    if np.any(ratio < 1.0):
+        with pytest.raises(CoefficientDomainError):
+            build_tables(sched, nu)
+        return
+    co = build_tables(sched, nu).sample(ts)
+    a_plus_o, a_plus_end_o = a_fwd[inner.size:-1], a_fwd[-1]
+    assert relerr(co.a_plus, a_plus_o) < 1e-4
+    a_o, b_o, c_o = oracles.rk4_riccati_backward(sched, ts)
+    assert relerr(co.a, a_o) < 1e-4
+    assert relerr(co.b, b_o) < 1e-4
+    assert relerr(co.c, c_o) < 1e-4
+    # K = c - a_plus(1) cancels: its error is bounded by those of its two terms
+    assert np.max(np.abs(co.K - (c_o - a_plus_end_o)) / (c_o + a_plus_end_o)) < 1e-4
+    # one extra all-ones channel carries the shift propagators
+    src = _source_fn(sched, np.hstack([nu, np.ones((sched.n_intervals, 1))]))
+    assert np.array_equal(co.nu, np.array([src(t)[:d] for t in ts]))
+    thp = oracles.rk4_linear_forward(sched, src, ts)
+    thx, thy = oracles.rk4_linear_backward(sched, src, ts)
+    for got, want in ((co.theta_plus, thp[:, :d]), (co.lam_plus, thp[:, d])):
+        assert np.max(np.abs(got - want)) < 1e-4 * max(1.0, np.max(np.abs(want)))
+    for got_x, got_y, want_x, want_y in ((co.theta_x, co.theta_y, thx[:, :d], thy[:, :d]),
+                                         (co.lam_x, co.lam_y, thx[:, d], thy[:, d])):
+        scale = max(1.0, np.max(np.abs(want_x)), np.max(np.abs(want_y)))
+        assert np.max(np.abs(got_x - want_x)) < 1e-4 * scale
+        assert np.max(np.abs(got_y - want_y)) < 1e-4 * scale
