@@ -32,13 +32,24 @@ theta_plus(0+) = 0 and theta_x(1-) = theta_y(1-) = 0 (delta kernels carry no
 linear term).  The shift propagators lambda solve the same linear ODEs with
 the source beta nu replaced by beta.
 
-beta = 0 intervals use the algebraic limits (heat/bridge kernels).
+beta = 0 intervals use the algebraic limits (heat/bridge kernels): omega is
+0 there, the scale omega becomes 1, and tanh and sinh the identity.
 
-``CoeffTables.sample(ts)`` is the one evaluator: it looks the interval of
-every time up once, evaluates each branch in a single pass (forward a_plus;
-backward a, b, c together; the linear theta_plus, theta_x, theta_y for the
-guidance and for the shift propagators) and returns one ``KernelCoeffs`` of
-per-time arrays.  The closed forms are exact at any interior time, so
+Each closed form is written once, in the evaluator of its branch:
+``ForwardScalar.a`` (a_plus), ``BackwardScalar.abc`` (a, b, c; the terminal
+interval anchored at the delta) and per-row gains for the linear
+coefficients, theta_plus = hom theta_plus(t_i) + drive nu_i,
+theta_x = R x_r + gx nu_i and theta_y = y_r + gyx x_r + gy nu_i, with x_r,
+y_r the values at the interval's right end.  The builders take every anchor
+from those evaluators at the interval boundaries: the forward walk at each
+right end, the backward walk at each left end, and the linear coefficients
+by a short recurrence over the gains of whole intervals.
+
+``CoeffTables.sample(ts)`` is the one evaluator of the assembled tables: it
+looks the interval of every time up once, evaluates each branch in a single
+pass (forward a_plus; backward a, b, c and the gains, shared by the guidance
+and the shift propagators) and returns one ``KernelCoeffs`` of per-time
+arrays.  The closed forms are exact at any interior time, so
 interval-boundary continuity holds to rounding.
 """
 
@@ -59,10 +70,27 @@ BETA_ZERO = 1e-14
 DEFAULT_N_STEPS = 2500  # dense-grid resolution shared with the simulator
 
 
-def _arccoth(x: float) -> float:
-    if x <= 1.0 + 1e-12:
-        raise CoefficientDomainError(f"arccoth argument {x} out of range (coth continuity solve)")
-    return 0.5 * np.log1p(2.0 / (x - 1.0))
+def _where(cond, x, y):
+    """np.where, kept a plain choice for one time in one interval (the anchor walks' case)."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _omega(schedule: PwcSchedule) -> tuple:
+    """(zero, omega): the beta == 0 branch mask and sqrt(beta), 0 on that branch."""
+    zero = schedule.betas <= BETA_ZERO
+    return zero, np.where(zero, 0.0, np.sqrt(schedule.betas))
+
+
+def _plus(gains, start, src):
+    """theta_plus from its gains, the value at the interval start and the source."""
+    hom, drive = gains
+    return hom * start + drive * src
+
+
+def _pair(gains, x_r, y_r, src):
+    """(theta_x, theta_y) from their gains, the right-end anchors and the source."""
+    R, gx, gyx, gy = gains
+    return R * x_r + gx * src, y_r + gyx * x_r + gy * src
 
 
 # ----------------------------------------------------------------------------
@@ -72,7 +100,7 @@ def _arccoth(x: float) -> float:
 @dataclass
 class ForwardScalar:
     schedule: PwcSchedule
-    omega: np.ndarray       # (M,)
+    omega: np.ndarray       # (M,) sqrt(beta), 0 on zero-beta intervals
     phi: np.ndarray         # (M,) phases; first is 0
     inv_a_start: np.ndarray  # (M,) 1/a at interval start, zero-beta branch only
     a_right: np.ndarray     # (M,) value at each right endpoint
@@ -82,45 +110,53 @@ class ForwardScalar:
     def a_end(self) -> float:
         return float(self.a_right[-1])
 
-    def a(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """a_plus at the times t, which lie in the intervals idx."""
+    def _phase(self, t, idx):
+        """(zero, omega, X0, X): the coth argument X at t and X0 at the interval start.
+
+        X = omega tau + phi; on zero-beta intervals X = tau + 1/a(t_i), the
+        beta -> 0 limit of X / omega, and sinh, tanh become the identity.
+        """
+        z = self.zero[idx]
+        w = self.omega[idx]
+        x0 = _where(z, self.inv_a_start[idx], self.phi[idx])
         tau = t - self.schedule.breakpoints[idx]
-        out = np.empty_like(t)
-        hyp = ~self.zero[idx]
-        if np.any(hyp):
-            w, ph = self.omega[idx[hyp]], self.phi[idx[hyp]]
-            out[hyp] = w / np.tanh(w * tau[hyp] + ph)
-        if np.any(~hyp):
-            out[~hyp] = 1.0 / (tau[~hyp] + self.inv_a_start[idx[~hyp]])
-        return out
+        return z, w, x0, x0 + _where(z, tau, w * tau)
+
+    def a(self, t, idx):
+        """a_plus at the times t, which lie in the intervals idx (arrays, or one time and its interval)."""
+        z, w, _, X = self._phase(t, idx)
+        return _where(z, 1.0, w) / _where(z, X, np.tanh(X))
+
+    def _plus_gains(self, t, idx) -> tuple:
+        """(hom, drive): theta_plus(t) = hom theta_plus(t_i) + drive source_i on interval i."""
+        z, w, X0, X = self._phase(t, idx)
+        sinhX = np.where(z, X, np.sinh(X))
+        live = sinhX > 0  # X = 0 only at t = 0, where theta_plus = 0
+        sinhX = np.where(live, sinhX, 1.0)
+        hom = np.where(live, np.where(z, X0, np.sinh(X0)) / sinhX, 1.0)
+        drive = (self.schedule.betas[idx] / np.where(z, 1.0, w)) * (np.cosh(X) - np.cosh(X0)) / sinhX
+        return hom, np.where(z, 0.0, drive)
 
 
 def forward_scalar(schedule: PwcSchedule) -> ForwardScalar:
     """Forward Riccati coefficient: first-interval phase 0, then continuity."""
     M = schedule.n_intervals
-    widths = schedule.widths()
-    omega = np.sqrt(schedule.betas)
-    zero = schedule.betas <= BETA_ZERO
-    phi = np.zeros(M)
-    inv_a = np.zeros(M)
-    a_right = np.zeros(M)
+    zero, omega = _omega(schedule)
+    fwd = ForwardScalar(schedule, omega, np.zeros(M), np.zeros(M), np.zeros(M), zero)
     for i in range(M):
         if i > 0:
-            a_in = a_right[i - 1]
+            a_in = fwd.a_right[i - 1]
             if zero[i]:
-                inv_a[i] = 1.0 / a_in
+                fwd.inv_a_start[i] = 1.0 / a_in
+            elif a_in <= omega[i] * (1.0 + 1e-12):
+                raise CoefficientDomainError(
+                    f"interval {i}: incoming forward coefficient {a_in:.6g} <= omega {omega[i]:.6g}; "
+                    "coth branch undefined (schedule must keep a_plus above omega)"
+                )
             else:
-                if a_in <= omega[i] * (1.0 + 1e-12):
-                    raise CoefficientDomainError(
-                        f"interval {i}: incoming forward coefficient {a_in:.6g} <= omega {omega[i]:.6g}; "
-                        "coth branch undefined (schedule must keep a_plus above omega)"
-                    )
-                phi[i] = _arccoth(a_in / omega[i])
-        if zero[i]:
-            a_right[i] = 1.0 / (widths[i] + inv_a[i])
-        else:
-            a_right[i] = omega[i] / np.tanh(omega[i] * widths[i] + phi[i])
-    return ForwardScalar(schedule, omega, phi, inv_a, a_right, zero)
+                fwd.phi[i] = 0.5 * np.log1p(2.0 / (a_in / omega[i] - 1.0))  # arccoth(a_in / omega)
+        fwd.a_right[i] = fwd.a(schedule.breakpoints[i + 1], i)
+    return fwd
 
 
 # ----------------------------------------------------------------------------
@@ -130,88 +166,53 @@ def forward_scalar(schedule: PwcSchedule) -> ForwardScalar:
 @dataclass
 class BackwardScalar:
     schedule: PwcSchedule
-    omega: np.ndarray
+    omega: np.ndarray     # (M,) sqrt(beta), 0 on zero-beta intervals
     zero: np.ndarray
-    a_anchor: np.ndarray  # (M,) value at right end of interval i (inf for terminal)
+    a_anchor: np.ndarray  # (M,) value at right end of interval i (nan for terminal: the delta anchors it)
     b_anchor: np.ndarray
     c_anchor: np.ndarray
 
-    def abc(self, t: np.ndarray, idx: np.ndarray) -> tuple:
-        """(a, b, c) at the times t, which lie in the intervals idx."""
-        bp = self.schedule.breakpoints
-        M = self.schedule.n_intervals
-        a, b, c = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-        term = idx == M - 1
-        if np.any(term):
-            sg = 1.0 - t[term]
-            i = idx[term]
-            w = self.omega[i]
-            z = self.zero[i]
-            coth, csch = np.empty_like(sg), np.empty_like(sg)
-            if np.any(~z):
-                ws = w[~z] * sg[~z]
-                coth[~z] = w[~z] / np.tanh(ws)
-                csch[~z] = w[~z] / np.sinh(ws)
-            if np.any(z):
-                coth[z] = csch[z] = 1.0 / sg[z]
-            a[term] = c[term] = coth
-            b[term] = csch
-        if np.any(~term):
-            i = idx[~term]
-            tau = bp[i + 1] - t[~term]
-            w = self.omega[i]
-            a_r, b_r, c_r = self.a_anchor[i], self.b_anchor[i], self.c_anchor[i]
-            z = self.zero[i]
-            T = np.where(z, tau, np.tanh(np.where(z, 0.0, w) * tau))
-            den = np.where(z, 1.0 + a_r * tau, w + a_r * T)
-            if np.any(den <= 0):
-                bad = int(i[den <= 0][0])
-                raise CoefficientDomainError(f"backward recursion denominator vanished on interval {bad}")
-            a[~term] = np.where(z, a_r / den, w * (a_r + w * T) / den)
-            sech = np.where(z, 1.0, 1.0 / np.cosh(np.where(z, 0.0, w) * tau))
-            b[~term] = np.where(z, b_r / den, b_r * w * sech / den)
-            c[~term] = c_r - b_r * b_r * T / den
-        return a, b, c
+    def abc(self, t, idx) -> tuple:
+        """(a, b, c) at the times t, which lie in the intervals idx (arrays, or one time and its interval)."""
+        return self._forms(t, idx)[:3]
+
+    def _forms(self, t, idx) -> tuple:
+        """(a, b, c, R, gx, gyx, gy) at the times t in the intervals idx.
+
+        The last four are the gains of the linear pair on interval i:
+        theta_x = R x_r + gx source_i and theta_y = y_r + gyx x_r + gy source_i,
+        from the values x_r, y_r at the right end (0 on the terminal interval).
+        """
+        term = idx == self.schedule.n_intervals - 1
+        tau = _where(term, 1.0, self.schedule.breakpoints[idx + 1]) - t
+        z = self.zero[idx]
+        w = self.omega[idx]
+        s = _where(z, 1.0, w)                    # zero beta: the algebraic limits
+        T = _where(z, tau, np.tanh(w * tau))
+        cosh = np.cosh(w * tau)
+        sech = 1.0 / cosh
+        a_r, b_r, c_r = self.a_anchor[idx], self.b_anchor[idx], self.c_anchor[idx]
+        den = s + a_r * T                        # > 0, as every anchor a_r is
+        a = _where(term, s / T, s * (a_r + w * T) / den)
+        b = _where(term, s / _where(z, tau, np.sinh(w * tau)), b_r * s * sech / den)
+        c = _where(term, a, c_r - b_r * b_r * T / den)
+        R = _where(term, 0.0, s / (cosh * den))
+        drive = w * np.tanh(0.5 * w * tau)       # terminal theta_x = theta_y per unit source
+        gx = _where(term, drive, a - R * a_r)
+        gyx = _where(term, 0.0, b_r * (T / den))
+        gy = _where(term, drive, b_r * (s * (1.0 - sech) / den))
+        return a, b, c, R, gx, gyx, gy
 
 
 def backward_scalar(schedule: PwcSchedule) -> BackwardScalar:
     """Backward kernel coefficients, anchored at the terminal delta."""
     M = schedule.n_intervals
-    widths = schedule.widths()
-    omega = np.sqrt(schedule.betas)
-    zero = schedule.betas <= BETA_ZERO
-    a_anchor = np.full(M, np.inf)
-    b_anchor = np.full(M, np.inf)
-    c_anchor = np.full(M, np.inf)
-    tab = BackwardScalar(schedule, omega, zero, a_anchor, b_anchor, c_anchor)
+    zero, omega = _omega(schedule)
+    bwd = BackwardScalar(schedule, omega, zero, np.full(M, np.nan), np.full(M, np.nan), np.full(M, np.nan))
     # walk right to left: the anchor of interval i is the left-end value of i+1
     for i in range(M - 2, -1, -1):
-        if i + 1 == M - 1:
-            sg = widths[M - 1]
-            if zero[M - 1]:
-                a_anchor[i] = b_anchor[i] = c_anchor[i] = 1.0 / sg
-            else:
-                w = omega[M - 1]
-                a_anchor[i] = c_anchor[i] = w / np.tanh(w * sg)
-                b_anchor[i] = w / np.sinh(w * sg)
-        else:
-            tau = widths[i + 1]
-            a_r, b_r, c_r = a_anchor[i + 1], b_anchor[i + 1], c_anchor[i + 1]
-            if zero[i + 1]:
-                den = 1.0 + a_r * tau
-                a_anchor[i] = a_r / den
-                b_anchor[i] = b_r / den
-                c_anchor[i] = c_r - b_r * b_r * tau / den
-            else:
-                w = omega[i + 1]
-                T = np.tanh(w * tau)
-                den = w + a_r * T
-                if den <= 0:
-                    raise CoefficientDomainError(f"backward anchor denominator vanished on interval {i + 1}")
-                a_anchor[i] = w * (a_r + w * T) / den
-                b_anchor[i] = b_r * w / (np.cosh(w * tau) * den)
-                c_anchor[i] = c_r - b_r * b_r * T / den
-    return tab
+        bwd.a_anchor[i], bwd.b_anchor[i], bwd.c_anchor[i] = bwd.abc(schedule.breakpoints[i + 1], i + 1)
+    return bwd
 
 
 # ----------------------------------------------------------------------------
@@ -223,7 +224,8 @@ class LinearCoeffs:
     """theta_plus / theta_x / theta_y for a per-interval source vector.
 
     ``source[i]`` is nu_i for the guidance coefficients or the all-ones
-    vector for the shift propagators.
+    vector for the shift propagators.  Each is a gain-weighted sum of its
+    interval anchor and the source; the gains depend on the schedule alone.
     """
 
     schedule: PwcSchedule
@@ -237,67 +239,14 @@ class LinearCoeffs:
 
     def evaluate(self, t: np.ndarray, idx: np.ndarray) -> tuple:
         """(theta_plus, theta_x, theta_y), each (n, d), at the times t in the intervals idx."""
-        return (self.theta_plus(t, idx),) + self._backward_pair(t, idx)
+        return self._combine(self.fwd._plus_gains(t, idx), self.bwd._forms(t, idx)[3:], idx)
 
-    def theta_plus(self, t, idx):
-        tau = t - self.schedule.breakpoints[idx]
-        out = np.zeros((t.size, self.source.shape[1]))
-        for i in np.unique(idx):
-            m = idx == i
-            th0 = self.plus_start[i]
-            if self.fwd.zero[i]:
-                if self.fwd.inv_a_start[i] > 0:
-                    fac = self.fwd.inv_a_start[i] / (tau[m] + self.fwd.inv_a_start[i])
-                else:
-                    fac = np.zeros(int(m.sum()))  # first interval: singular start, theta == 0
-                out[m] = fac[:, None] * th0
-            else:
-                w, ph = self.fwd.omega[i], self.fwd.phi[i]
-                X = w * tau[m] + ph
-                sinhX = np.sinh(X)
-                hom = np.where(sinhX > 0, np.sinh(ph) / np.where(sinhX > 0, sinhX, 1.0), 1.0)
-                drive = (self.schedule.betas[i] / w) * (np.cosh(X) - np.cosh(ph)) / np.where(sinhX > 0, sinhX, 1.0)
-                out[m] = hom[:, None] * th0 + drive[:, None] * self.source[i]
-        return out
-
-    def _backward_pair(self, t, idx):
-        bp = self.schedule.breakpoints
-        M = self.schedule.n_intervals
-        d = self.source.shape[1]
-        thx = np.zeros((t.size, d))
-        thy = np.zeros((t.size, d))
-        for i in np.unique(idx):
-            m = idx == i
-            nu = self.source[i]
-            if i == M - 1:
-                sg = 1.0 - t[m]
-                if self.bwd.zero[i]:
-                    continue  # no source: thetas stay 0
-                w = self.bwd.omega[i]
-                val = w * np.tanh(0.5 * w * sg)
-                thx[m] = val[:, None] * nu
-                thy[m] = val[:, None] * nu
-            else:
-                tau = bp[i + 1] - t[m]
-                a_r, b_r, c_r = self.bwd.a_anchor[i], self.bwd.b_anchor[i], self.bwd.c_anchor[i]
-                thx_r, thy_r = self.x_anchor[i], self.y_anchor[i]
-                if self.bwd.zero[i]:
-                    den = 1.0 + a_r * tau
-                    R = 1.0 / den
-                    a_t = a_r / den
-                    Psi = tau / den
-                    drive_y = np.zeros_like(tau)
-                else:
-                    w = self.bwd.omega[i]
-                    T = np.tanh(w * tau)
-                    den = w + a_r * T
-                    R = w / (np.cosh(w * tau) * den)
-                    a_t = w * (a_r + w * T) / den
-                    Psi = T / den
-                    drive_y = w * (1.0 - 1.0 / np.cosh(w * tau)) / den
-                thx[m] = R[:, None] * thx_r + (a_t - R * a_r)[:, None] * nu
-                thy[m] = thy_r + (b_r * Psi)[:, None] * thx_r + (b_r * drive_y)[:, None] * nu
-        return thx, thy
+    def _combine(self, plus_gains, pair_gains, idx) -> tuple:
+        """(theta_plus, theta_x, theta_y) from per-row gains of the rows in the intervals idx."""
+        src = self.source[idx]
+        col = lambda gains: [g[:, None] for g in gains]
+        return (_plus(col(plus_gains), self.plus_start[idx], src),
+                *_pair(col(pair_gains), self.x_anchor[idx], self.y_anchor[idx], src))
 
 
 def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: BackwardScalar) -> LinearCoeffs:
@@ -307,36 +256,19 @@ def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: Backwa
     if source.shape[0] != M:
         raise ValueError(f"need one source value per interval: {source.shape[0]} vs {M}")
     d = source.shape[1]
-    widths = schedule.widths()
-
-    # interval-end values of theta_plus: ends[i] = theta_plus(t_i), ends[0] = 0
+    bp = schedule.breakpoints
+    # theta_plus forward over whole intervals: ends[i] = theta_plus(t_i), ends[0] = 0
+    plus_gains = np.array(fwd._plus_gains(bp[1:], np.arange(M)))
     ends = np.zeros((M + 1, d))
     for i in range(M):
-        if fwd.zero[i]:
-            # no source; pure decay theta(t) = theta(t_i) a(t)/a(t_i)
-            if fwd.inv_a_start[i] > 0:
-                fac = fwd.inv_a_start[i] / (widths[i] + fwd.inv_a_start[i])
-            else:
-                fac = 0.0  # singular first interval, theta identically 0 there
-            ends[i + 1] = fac * ends[i]
-        else:
-            w, ph = fwd.omega[i], fwd.phi[i]
-            X = w * widths[i] + ph
-            ends[i + 1] = (np.sinh(ph) / np.sinh(X)) * ends[i] + (schedule.betas[i] / w) * (
-                (np.cosh(X) - np.cosh(ph)) / np.sinh(X)
-            ) * source[i]
-    plus_start = ends[:M]
-    plus_end = ends[M]
-
+        ends[i + 1] = _plus(plus_gains[:, i], ends[i], source[i])
+    # the pair backward: the left-end values of interval i+1 are the anchors of interval i
+    pair_gains = np.array(bwd._forms(bp[1:M], np.arange(1, M))[3:])
     x_anchor = np.zeros((M, d))
     y_anchor = np.zeros((M, d))
-    lc = LinearCoeffs(schedule, fwd, bwd, source, plus_start, plus_end, x_anchor, y_anchor)
     for i in range(M - 2, -1, -1):
-        # left-end values of interval i+1 become the anchors of interval i
-        saved = lc._backward_pair(schedule.breakpoints[i + 1:i + 2], np.array([i + 1]))
-        x_anchor[i] = saved[0][0]
-        y_anchor[i] = saved[1][0]
-    return lc
+        x_anchor[i], y_anchor[i] = _pair(pair_gains[:, i], x_anchor[i + 1], y_anchor[i + 1], source[i + 1])
+    return LinearCoeffs(schedule, fwd, bwd, source, ends[:M], ends[M], x_anchor, y_anchor)
 
 
 def shift_propagators(schedule: PwcSchedule, fwd: ForwardScalar, bwd: BackwardScalar) -> LinearCoeffs:
@@ -431,9 +363,10 @@ class CoeffTables:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = interval_of(self.schedule, ts)
-        a, b, c = self.bwd.abc(ts, idx)
-        theta_plus, theta_x, theta_y = self.theta.evaluate(ts, idx)
-        lam_plus, lam_x, lam_y = (v[:, 0] for v in self.lam.evaluate(ts, idx))
+        a, b, c, *pair_gains = self.bwd._forms(ts, idx)
+        plus_gains = self.fwd._plus_gains(ts, idx)
+        theta_plus, theta_x, theta_y = self.theta._combine(plus_gains, pair_gains, idx)
+        lam_plus, lam_x, lam_y = (v[:, 0] for v in self.lam._combine(plus_gains, pair_gains, idx))
         return KernelCoeffs(
             t=ts, a=a, b=b, c=c, K=c - self.a_plus_end, theta_x=theta_x, theta_y=theta_y,
             a_plus=self.fwd.a(ts, idx), theta_plus=theta_plus,

@@ -245,8 +245,6 @@ PRESETS = {
 # config parsing
 # ----------------------------------------------------------------------------
 
-_FLOAT_LIST_KEYS = {"weights", "means", "sigmas", "m_bar_grid", "sweep_values", "values"}
-
 _SCHEMA = {
     "name": str,
     "d": int,
@@ -291,52 +289,38 @@ def _cast(key: str, raw, kind):
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
 
 
+# flat config key -> ExperimentConfig field; the dataclasses hold every default
+_CONFIG_FIELDS = {
+    "name": "name", "d": "d", "schedule.beta0": "beta0", "schedule.gamma": "gamma",
+    "schedule.intervals": "intervals", "sim.particles": "n_particles", "sim.steps": "n_steps",
+    "sim.seed": "seed", "modes": "modes", "sweep.axis": "sweep_axis", "sweep.values": "sweep_values",
+}
+
+
 def _assemble(flat: dict) -> ExperimentConfig:
     for key in flat:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
     vals = {k: _cast(k, v, _SCHEMA[k]) for k, v in flat.items()}
 
-    def mixture(section: str) -> MixtureSpec | None:
-        keys = [f"{section}.weights", f"{section}.means", f"{section}.sigmas"]
-        present = [k for k in keys if k in vals]
-        if not present:
+    def section(name: str) -> dict:
+        return {k.partition(".")[2]: v for k, v in vals.items() if k.startswith(name + ".")}
+
+    def mixture(name: str) -> MixtureSpec | None:
+        spec = section(name)
+        keys = ["weights", "means", "sigmas"]
+        if not any(k in spec for k in keys):
             return None
-        missing = [k for k in keys if k not in vals]
+        missing = [f"{name}.{k}" for k in keys if k not in spec]
         if missing:
-            raise ConfigError(f"incomplete mixture section {section!r}: missing {missing}")
-        return MixtureSpec(
-            vals[keys[0]], vals[keys[1]], vals[keys[2]], vals.get(f"{section}.ar_rho", 0.0)
-        )
+            raise ConfigError(f"incomplete mixture section {name!r}: missing {missing}")
+        return MixtureSpec(**spec)
 
-    lqg = None
-    lqg_keys = [k for k in vals if k.startswith("lqg.")]
-    if lqg_keys:
-        lqg = LqgSpec(
-            kappa=vals.get("lqg.kappa", 0.8),
-            q=vals.get("lqg.q", 2.0),
-            m_tar=vals.get("lqg.m_tar", 1.5),
-            sigma_tar=vals.get("lqg.sigma_tar", 0.3),
-            m_bar_grid=vals.get("lqg.m_bar_grid", [0.0, 1.5]),
-        )
-
-    cfg = ExperimentConfig(
-        name=vals.get("name", "custom"),
-        d=vals.get("d", 1),
-        target=mixture("target"),
-        initial=mixture("initial"),
-        beta0=vals.get("schedule.beta0", 12.0),
-        gamma=vals.get("schedule.gamma", 0.65),
-        intervals=vals.get("schedule.intervals", 8),
-        n_particles=vals.get("sim.particles", 8000),
-        n_steps=vals.get("sim.steps", 2500),
-        seed=vals.get("sim.seed", 20250101),
-        modes=vals.get("modes", ["mf", "ia0", "iam"]),
-        sweep_axis=vals.get("sweep.axis", "none"),
-        sweep_values=vals.get("sweep.values", []),
-        lqg=lqg,
+    lqg = section("lqg")
+    return ExperimentConfig(
+        target=mixture("target"), initial=mixture("initial"), lqg=LqgSpec(**lqg) if lqg else None,
+        **{attr: vals[key] for key, attr in _CONFIG_FIELDS.items() if key in vals},
     )
-    return cfg
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -447,15 +447,15 @@ def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
     co = ctx.coeffs(t)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     d = ctx.target.dim
+    P = co.a_plus + co.a
 
     if ctx.initial is None:
         # unnormalized component k: pi_k |S_k|^{-1/2} exp(-x.M_k.x/2 + h_k.x - g_k/2),
         # normalized by the sum of per-component Gaussian masses; both are
-        # diagonal in the component's basis
+        # diagonal in the component's basis; the probe factors are alpha = b/K
+        # and dbar = (theta_y - theta_plus(1))/K
         Kt = co.K
-        alpha = co.b / Kt
-        dbar = (co.theta_y - ctx.theta_plus_end) / Kt
-        P = co.a_plus + co.a
+        alpha, dbar = co.probe_x, co.probe_0
         h0 = co.theta_plus + co.theta_x + co.b * dbar
         log_parts = []
         log_masses = []
@@ -475,7 +475,6 @@ def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
                 )
         out = logsumexp(np.stack(log_parts, axis=1), axis=1) - logsumexp(np.array(log_masses))
     else:
-        P = co.a_plus + co.a
         fac_init = co.a_plus - co.lam_plus
         base = (co.theta_plus + co.theta_x) / P
         logs = []

@@ -9,6 +9,7 @@ from mfbridge.cli import main
 from mfbridge.errors import ConfigError
 from mfbridge.presets import (
     ExperimentConfig,
+    LqgSpec,
     dsweep_mixtures,
     ksweep_mixtures,
     load_config,
@@ -102,6 +103,16 @@ def test_config_json(tmp_path):
     cfg = load_config(str(path))
     assert cfg.beta0 == 5.0
     assert validate_config(cfg) == []
+
+
+def test_config_keys_left_out_take_the_dataclass_defaults():
+    cfg = parse_config_text("lqg.kappa = 0.8")
+    assert cfg.lqg == LqgSpec(kappa=0.8)
+    assert cfg == ExperimentConfig(lqg=LqgSpec())
+    cfg = parse_config_text("target.weights = 1\ntarget.means = 0.5\ntarget.sigmas = 0.3")
+    assert cfg.target.ar_rho == 0.0 and cfg.initial is None
+    with pytest.raises(ConfigError, match="missing \\['target.sigmas'\\]"):
+        parse_config_text("target.weights = 1\ntarget.means = 0.5")
 
 
 def test_config_rejects_unknown_key():
