@@ -19,16 +19,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .guidance import fixed_point_guidance, linear_guidance, pwc_guidance
+from .greens import build_tables
+from .guidance import fixed_point_guidance, linear_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import MODE_NAMES, ExperimentConfig, load_config, preset, validate_config
-from .score import ScoreContext, marginal_density
+from .score import ScoreContext, _marginal_components, marginal_density
 from .simulate import SimConfig, run_bridge, tables_for_mode
 
 __all__ = ["main", "run_experiment"]
 
 AFFINE_FIT_SLICES = 49
 DENSITY_GRID_POINTS = 501
+DENSITY_GRID_SDS = 6.0   # the grid spans every marginal component's mean +- this many sd
 
 
 # ----------------------------------------------------------------------------
@@ -69,13 +71,12 @@ def _write_json(path: Path, obj: dict) -> None:
 # single bridge run and its artifacts
 # ----------------------------------------------------------------------------
 
-def _sim_config(config: ExperimentConfig, mode: str, sweep_value=None, **extra) -> SimConfig:
+def _sim_config(config: ExperimentConfig, sweep_value=None, **extra) -> SimConfig:
     initial, target = config.mixtures(sweep_value)
     return SimConfig(
         target=target,
         schedule=config.schedule(),
         initial=initial,
-        guidance_mode=MODE_NAMES[mode],
         n_particles=config.n_particles,
         n_steps=config.n_steps,
         seed=config.seed,
@@ -127,13 +128,13 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     snap_times = tuple(np.linspace(0.01, 0.99, AFFINE_FIT_SLICES)) if affine else ()
 
     t_wall = time.perf_counter()
-    sim_cfgs = [_sim_config(config, mode, sweep_value, snapshot_times=snap_times) for mode in config.modes]
-    tables = [tables_for_mode(sim_cfg) for sim_cfg in sim_cfgs]
-    runs = run_bridge(sim_cfgs, tables)
-    reports = dict(zip(config.modes, zip(runs, sim_cfgs, tables)))
+    sim_cfg = _sim_config(config, sweep_value, snapshot_times=snap_times)
+    tables = {m: tables_for_mode(sim_cfg, MODE_NAMES[m]) for m in config.modes}
+    runs = run_bridge(sim_cfg, [MODE_NAMES[m] for m in config.modes], list(tables.values()))
+    reports = dict(zip(config.modes, runs))
     if dump_coefficients:
-        for mode, tab in zip(config.modes, tables):
-            _dump_coefficients(out_dir / f"coefficients_{mode}.csv", tab)
+        for m, tab in tables.items():
+            _dump_coefficients(out_dir / f"coefficients_{m}.csv", tab)
     wall = time.perf_counter() - t_wall
 
     n = config.n_steps
@@ -146,18 +147,18 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     for j in range(0, n + 1, stride):
         row = [f"{ts[j]:.6f}"]
         for m in config.modes:
-            rep = reports[m][0]
+            rep = reports[m]
             p = rep.power[min(j, n - 1)]
             row.append(f"{p:.8g}")
         for m in config.modes:
-            row.append(f"{reports[m][0].energy_trace[j]:.8g}")
+            row.append(f"{reports[m].energy_trace[j]:.8g}")
         rows.append(row)
     _write_csv(out_dir / "energy.csv", header, rows)
 
     # terminal.csv: per-component moments per mode
     rows = []
     for m in config.modes:
-        rep = reports[m][0]
+        rep = reports[m]
         for k, (e, se, cnt) in rep.component_energy.items():
             mean = rep.terminal_mean.get(k)
             std = rep.terminal_std.get(k)
@@ -171,34 +172,34 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
                rows)
 
-    # trajectories.csv: subsampled paths
-    rows = []
-    for m in config.modes:
-        rep = reports[m][0]
-        for pid in range(rep.trajectories.shape[0]):
-            for j in range(0, n + 1, stride):
-                rows.append([m, pid, f"{ts[j]:.6f}"] + [f"{v:.6g}" for v in rep.trajectories[pid, j]])
-    _write_csv(out_dir / "trajectories.csv",
-               ["mode", "path", "t"] + [f"x_{i}" for i in range(d)], rows)
+    # trajectories.csv: subsampled paths, one format string per row; the
+    # fields need no quoting, so this is the text csv.writer would write
+    t_col = [f"{t:.6f}" for t in ts[::stride]]
+    row_fmt = ",".join(["{},{},{}"] + ["{:.6g}"] * d) + "\r\n"
+    with _atomic_open(out_dir / "trajectories.csv") as fh:
+        csv.writer(fh).writerow(["mode", "path", "t"] + [f"x_{i}" for i in range(d)])
+        for m in config.modes:
+            for pid, path in enumerate(reports[m].trajectories[:, ::stride].tolist()):
+                fh.writelines(row_fmt.format(m, pid, t, *x) for t, x in zip(t_col, path))
 
     if affine:
         rows = []
         for m in config.modes:
-            rows.extend(_affine_fit_rows(m, *reports[m]))
+            rows.extend(_affine_fit_rows(m, reports[m], sim_cfg, tables[m]))
         _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], rows)
 
     if d > 1:
-        rows = [[m, z, f"{reports[m][0].zone_energy[z]:.8g}"] for m in config.modes for z in range(d)]
+        rows = [[m, z, f"{reports[m].zone_energy[z]:.8g}"] for m in config.modes for z in range(d)]
         _write_csv(out_dir / "zone_energy.csv", ["mode", "zone", "energy"], rows)
         rows = []
         for m in config.modes:
-            rep = reports[m][0]
+            rep = reports[m]
             for j in range(0, n + 1, stride):
                 for z in range(d):
                     rows.append([m, f"{ts[j]:.6f}", z, f"{rep.mean_trace[j, z]:.6g}"])
         _write_csv(out_dir / "zone_means.csv", ["mode", "t", "zone", "mean"], rows)
 
-    totals = {m: reports[m][0].total for m in config.modes}
+    totals = {m: reports[m].total for m in config.modes}
     saving = None
     if "mf" in totals and "ia0" in totals:
         saving = 1.0 - totals["mf"] / totals["ia0"]
@@ -209,7 +210,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
         "totals_per_zone": {m: totals[m] / d for m in totals},
         "saving_vs_ia0": saving,
         "wall_seconds": wall,
-        "modes": {m: reports[m][0].summary() for m in config.modes},
+        "modes": {m: reports[m].summary() for m in config.modes},
         "config": config.echo(),
     }
     _write_json(out_dir / "summary.json", summary)
@@ -312,21 +313,21 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
 # ----------------------------------------------------------------------------
 
 def _run_density(config: ExperimentConfig, times, out: Path) -> None:
-    initial, target = config.mixtures()
-    if target.dim != 1:
+    sim_cfg = _sim_config(config)
+    if sim_cfg.dim != 1:
         raise ConfigError("density emission is 1-d only")
-    lo = float(np.min(target.means)) - 4 * max(config.target.sigmas)
-    hi = float(np.max(target.means)) + 4 * max(config.target.sigmas)
-    if initial is not None:
-        lo = min(lo, float(np.min(initial.means)) - 4 * max(config.initial.sigmas))
-        hi = max(hi, float(np.max(initial.means)) + 4 * max(config.initial.sigmas))
+    ctxs = {m: ScoreContext(tables_for_mode(sim_cfg, MODE_NAMES[m]), sim_cfg.target, sim_cfg.initial)
+            for m in config.modes}
+    # one grid for every curve, wide enough for each curve's every component
+    lo, hi = np.inf, -np.inf
+    for ctx in ctxs.values():
+        for t in times:
+            _, means, covs = _marginal_components(ctx, t)
+            half = DENSITY_GRID_SDS * np.sqrt(covs[:, 0, 0])
+            lo, hi = min(lo, np.min(means[:, 0] - half)), max(hi, np.max(means[:, 0] + half))
     xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)[:, None]
 
-    cols = {}
-    for mode in config.modes:
-        ctx = ScoreContext(tables_for_mode(_sim_config(config, mode)), target, initial)
-        for t in times:
-            cols[(mode, t)] = marginal_density(ctx, t, xs)
+    cols = {(m, t): marginal_density(ctx, t, xs) for m, ctx in ctxs.items() for t in times}
 
     rows = []
     for t in times:
@@ -336,35 +337,27 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
 
 
 def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, max_iter: int = 15) -> dict:
-    initial, target = config.mixtures()
-    sched = config.schedule()
+    sim_cfg = _sim_config(config)
+    sched = sim_cfg.schedule
     mids = sched.midpoints()
     mid_steps = np.clip(np.round(mids * config.n_steps).astype(int), 0, config.n_steps)
 
     def mean_map(nu_values):
-        traj = pwc_guidance(sched, nu_values)
-        sim_cfg = SimConfig(
-            target=target, schedule=sched, initial=initial,
-            guidance_mode="mf-linear", guidance=traj,
-            n_particles=config.n_particles, n_steps=config.n_steps, seed=config.seed,
-        )
-        rep, = run_bridge([sim_cfg])
+        rep, = run_bridge(sim_cfg, ["mf-linear"], [build_tables(sched, nu_values, config.n_steps)])
         return rep.mean_trace[mid_steps]
 
-    d = target.dim
-    nu0 = np.repeat(target.mean[None, :], sched.n_intervals, axis=0)
+    nu0 = np.repeat(sim_cfg.target.mean[None, :], sched.n_intervals, axis=0)
     result = fixed_point_guidance(sched, mean_map, nu0, tol=tol, max_iter=max_iter)
 
-    lin = linear_guidance(initial.mean if initial is not None else np.zeros(d), target.mean)
-    lin_mid = np.atleast_2d(lin(mids))
-    resid = result.guidance.values - lin_mid
+    lin_mid = np.atleast_2d(linear_guidance(sim_cfg.initial_mean, sim_cfg.target.mean)(mids))
+    resid = result.values - lin_mid
 
     _write_csv(out / "guidance_check.csv", ["iteration", "max_update"],
                [[i + 1, f"{u:.8g}"] for i, u in enumerate(result.max_updates)])
     rows = []
     for i, tm in enumerate(mids):
         rows.append([i, f"{tm:.6f}",
-                     " ".join(f"{v:.8g}" for v in result.guidance.values[i]),
+                     " ".join(f"{v:.8g}" for v in result.values[i]),
                      " ".join(f"{v:.8g}" for v in lin_mid[i]),
                      f"{np.linalg.norm(resid[i]):.8g}"])
     _write_csv(out / "midpoint_residuals.csv", ["interval", "t_mid", "nu_fixed_point", "nu_linear", "residual"], rows)

@@ -55,7 +55,7 @@ interval-boundary continuity holds to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -307,7 +307,8 @@ class KernelCoeffs:
     nu: np.ndarray
 
     def row(self, j: int) -> "KernelCoeffs":
-        return type(self)(*(getattr(self, f.name)[j] for f in fields(self)))
+        # the instance dict holds exactly the fields, in declaration order
+        return type(self)(*(v[j] for v in vars(self).values()))
 
 
 @dataclass

@@ -1,23 +1,23 @@
 """Guidance trajectories: the centre of the quadratic steering potential.
 
 Two closed forms (the linear interpolant between endpoint means, constants
-for the independent-agent baselines), piecewise-constant values, and a
-Picard fixed-point iteration retained for validation only.
+for the independent-agent baselines), sampled at the interval midpoints for
+the coefficient tables, and a Picard fixed-point iteration on per-interval
+values, retained for validation only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import PwcSchedule, interval_of
+from .schedule import PwcSchedule
 
 __all__ = [
     "GuidanceTrajectory",
     "linear_guidance",
     "constant_guidance",
-    "pwc_guidance",
     "fixed_point_guidance",
     "FixedPointResult",
 ]
@@ -26,11 +26,9 @@ __all__ = [
 class GuidanceTrajectory:
     """Dense evaluator nu(t) -> (d,) plus its per-interval PWC representation."""
 
-    kind: str  # "linear" | "constant" | "pwc"
+    kind: str  # "linear" | "constant"
     m_in: np.ndarray | None = None
     m_tar: np.ndarray | None = None
-    values: np.ndarray | None = None  # (M, d) for kind == "pwc"
-    schedule: PwcSchedule | None = field(default=None, repr=False)
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -38,27 +36,12 @@ class GuidanceTrajectory:
             out = np.outer(1.0 - t_arr, self.m_in) + np.outer(t_arr, self.m_tar)
         elif self.kind == "constant":
             out = np.broadcast_to(self.m_tar, (t_arr.size, self.m_tar.size)).copy()
-        elif self.kind == "pwc":
-            idx = interval_of(self.schedule, np.clip(t_arr, 0.0, 1.0))
-            out = self.values[np.atleast_1d(idx)]
         else:
             raise ValueError(f"unknown guidance kind {self.kind!r}")
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
-    @property
-    def dim(self) -> int:
-        if self.kind == "pwc":
-            return self.values.shape[1]
-        return self.m_tar.size
-
     def pwc_values(self, schedule: PwcSchedule) -> np.ndarray:
         """Per-interval representative values, sampled at interval midpoints."""
-        if self.kind == "pwc":
-            if self.schedule is not None and not np.array_equal(
-                self.schedule.breakpoints, schedule.breakpoints
-            ):
-                raise ValueError("pwc guidance defined on a different schedule")
-            return self.values
         return np.atleast_2d(self(schedule.midpoints()))
 
 
@@ -78,16 +61,9 @@ def constant_guidance(value) -> GuidanceTrajectory:
     return GuidanceTrajectory(kind="constant", m_tar=value)
 
 
-def pwc_guidance(schedule: PwcSchedule, values) -> GuidanceTrajectory:
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] != schedule.n_intervals:
-        raise ValueError(f"need one value per interval: {values.shape[0]} vs {schedule.n_intervals}")
-    return GuidanceTrajectory(kind="pwc", values=values, schedule=schedule)
-
-
 @dataclass
 class FixedPointResult:
-    guidance: GuidanceTrajectory
+    values: np.ndarray  # (M, d) per-interval guidance of the last iterate
     max_updates: list
     converged: bool
     n_iterations: int
@@ -109,6 +85,8 @@ def fixed_point_guidance(
     best iterate flagged converged=False.
     """
     nu = np.atleast_2d(np.asarray(nu0, dtype=float)).copy()
+    if nu.shape[0] != schedule.n_intervals:
+        raise ValueError(f"need one value per interval: {nu.shape[0]} vs {schedule.n_intervals}")
     updates = []
     for k in range(max_iter):
         nu_next = np.atleast_2d(mean_map(nu))
@@ -118,5 +96,5 @@ def fixed_point_guidance(
         updates.append(delta)
         nu = nu_next
         if delta < tol:
-            return FixedPointResult(pwc_guidance(schedule, nu), updates, True, k + 1)
-    return FixedPointResult(pwc_guidance(schedule, nu), updates, False, max_iter)
+            return FixedPointResult(nu, updates, True, k + 1)
+    return FixedPointResult(nu, updates, False, max_iter)

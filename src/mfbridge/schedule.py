@@ -9,7 +9,7 @@ terminal-interval closed forms, never by lookup at exactly t = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +20,13 @@ __all__ = ["PwcSchedule", "geometric_schedule", "interval_of"]
 class PwcSchedule:
     """Time grid plus one stiffness value per interval.
 
-    ``betas[i]`` must be positive; zeros are only legal when the caller
-    explicitly opts into the interaction-free bridge limit via
-    ``allow_zero_beta`` (all degenerate formulas then use the beta -> 0
-    closed forms).
+    ``betas[i]`` must be non-negative.  A zero (or any beta at or below
+    ``greens.BETA_ZERO``) is the interaction-free bridge limit on that
+    interval, where every kernel coefficient takes its beta -> 0 closed form.
     """
 
     breakpoints: np.ndarray
     betas: np.ndarray
-    allow_zero_beta: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -45,8 +43,6 @@ class PwcSchedule:
             raise ValueError(f"need one beta per interval: {be.shape} vs {bp.size - 1} intervals")
         if np.any(be < 0):
             raise ValueError("negative beta")
-        if not self.allow_zero_beta and np.any(be == 0):
-            raise ValueError("beta == 0 requires allow_zero_beta=True (bridge limit)")
 
     @property
     def n_intervals(self) -> int:

@@ -435,32 +435,29 @@ def shifted_score(ctx: ScoreContext, t: float, x, z) -> np.ndarray:
     return u[0]
 
 
-def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
-    """Normalized time-t marginal of the controlled bridge at positions x.
+def _marginal_components(ctx: ScoreContext, t: float):
+    """The time-t marginal as a Gaussian mixture: log weights (C,), means (C, d) and covariances (C, d, d).
 
-    Delta start: K-component mixture with per-component natural parameters
-    assembled from the coefficient tables.  Mixture start: J x K components
-    obtained by conditioning on the start draw and the terminal point; the
-    pinned kernel between them is Gaussian with precision a_plus + a_minus,
-    which pushes endpoint covariances through two affine maps.
+    Delta start: one component per target component k, assembled from its
+    natural parameters (precision M_k, diagonal in the component's basis,
+    and h_k) and weighted by its Gaussian mass.  Mixture start: J x K
+    components obtained by conditioning on the start draw and the terminal
+    point; the pinned kernel between them is Gaussian with precision
+    a_plus + a_minus, which pushes endpoint covariances through two affine
+    maps.
     """
     co = ctx.coeffs(t)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
     d = ctx.target.dim
     P = co.a_plus + co.a
-
+    log_ws, means, covs = [], [], []
     if ctx.initial is None:
-        # unnormalized component k: pi_k |S_k|^{-1/2} exp(-x.M_k.x/2 + h_k.x - g_k/2),
-        # normalized by the sum of per-component Gaussian masses; both are
-        # diagonal in the component's basis; the probe factors are alpha = b/K
-        # and dbar = (theta_y - theta_plus(1))/K
+        # unnormalized component k: pi_k |S_k|^{-1/2} exp(-x.M_k.x/2 + h_k.x - g_k/2);
+        # the probe factors are alpha = b/K and dbar = (theta_y - theta_plus(1))/K
         Kt = co.K
         alpha, dbar = co.probe_x, co.probe_0
         h0 = co.theta_plus + co.theta_x + co.b * dbar
-        log_parts = []
-        log_masses = []
         for U, sl in ctx.bases:
-            Xe, h0e, de = _to_basis(U, X), _to_basis(U, h0), _to_basis(U, dbar)
+            h0e, de = _to_basis(U, h0), _to_basis(U, dbar)
             for lam, v, log_pi in zip(ctx._lam[sl], ctx._means_basis[sl], ctx._log_weights[sl]):
                 noise = lam + 1.0 / Kt                      # S_k eigenvalues
                 M_diag = (P - co.b**2 / Kt) + alpha**2 / noise
@@ -468,32 +465,41 @@ def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
                     raise ProbeError(f"non-PD marginal precision at t={t}")
                 h_eig = h0e + alpha * (v - de) / noise
                 quad = np.sum((v - de) ** 2 / noise)
-                prefix = log_pi - 0.5 * np.sum(np.log(noise)) - 0.5 * quad
-                log_parts.append(prefix - 0.5 * np.sum(Xe**2 * M_diag, axis=1) + Xe @ h_eig)
-                log_masses.append(
-                    prefix + 0.5 * np.sum(h_eig**2 / M_diag) - 0.5 * np.sum(np.log(M_diag)) + 0.5 * d * LOG_2PI
-                )
-        out = logsumexp(np.stack(log_parts, axis=1), axis=1) - logsumexp(np.array(log_masses))
+                log_ws.append(log_pi - 0.5 * np.sum(np.log(noise)) - 0.5 * quad
+                              + 0.5 * np.sum(h_eig**2 / M_diag) - 0.5 * np.sum(np.log(M_diag)) + 0.5 * d * LOG_2PI)
+                means.append(_from_basis(U, h_eig / M_diag))
+                cov = np.diag(1.0 / M_diag)
+                covs.append(cov if U is None else U @ cov @ U.T)
+        log_ws = np.array(log_ws) - logsumexp(log_ws)
     else:
         fac_init = co.a_plus - co.lam_plus
         base = (co.theta_plus + co.theta_x) / P
-        logs = []
-        log_ws = []
         for j in range(ctx.initial.n_components):
             for k in range(ctx.target.n_components):
-                mean = base + (fac_init * ctx.initial.means[j] + co.b * ctx.target.means[k]) / P
-                cov = (np.eye(d) / P
-                       + (fac_init / P) ** 2 * ctx.initial.covariances[j]
-                       + (co.b / P) ** 2 * ctx.target.covariances[k])
-                L = np.linalg.cholesky(cov)
-                sol = np.linalg.solve(L, (X - mean).T).T
-                logs.append(
-                    -0.5 * np.sum(sol**2, axis=1) - np.sum(np.log(np.diag(L))) - 0.5 * d * LOG_2PI
-                )
+                means.append(base + (fac_init * ctx.initial.means[j] + co.b * ctx.target.means[k]) / P)
+                covs.append(np.eye(d) / P
+                            + (fac_init / P) ** 2 * ctx.initial.covariances[j]
+                            + (co.b / P) ** 2 * ctx.target.covariances[k])
                 log_ws.append(np.log(ctx.initial.weights[j] * ctx.target.weights[k]))
-        logs = np.stack(logs, axis=1) + np.array(log_ws)[None, :]
-        out = logsumexp(logs, axis=1)
+        log_ws = np.array(log_ws)
+    return log_ws, np.array(means), np.array(covs)
 
+
+def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
+    """Normalized time-t marginal of the controlled bridge at positions x.
+
+    The marginal is the Gaussian mixture ``_marginal_components`` assembles
+    from the coefficient tables: K components for a delta start, J x K for a
+    mixture start.
+    """
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    log_ws, means, covs = _marginal_components(ctx, t)
+    logs = np.empty((X.shape[0], log_ws.size))
+    for i, (mean, cov) in enumerate(zip(means, covs)):
+        L = np.linalg.cholesky(cov)
+        sol = np.linalg.solve(L, (X - mean).T).T
+        logs[:, i] = -0.5 * np.sum(sol**2, axis=1) - np.sum(np.log(np.diag(L))) - 0.5 * X.shape[1] * LOG_2PI
+    out = logsumexp(logs + log_ws, axis=1)
     if not log:
         out = np.exp(out)
     return float(out[0]) if np.asarray(x).ndim == 1 else out

@@ -9,17 +9,19 @@ Conventions:
   * noise comes from counter-based streams keyed by (seed, stream id), one
     stream per step plus one for the initial draw, so runs are bit-for-bit
     reproducible regardless of how particles are partitioned over workers;
-  * ``run_bridge`` advances several guidance modes of one problem together:
-    their positions are stacked as one group of rows per mode, and the
-    initial draw and each step's (B, d) draw are made once and shared, which
-    is exactly what separate runs with the same seed would draw.
+  * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
+    to compare on it.  A mode's guidance reaches the run only through its
+    ``CoeffTables``.  The modes advance together: their positions are
+    stacked as one group of rows per mode, and the initial draw and each
+    step's (B, d) draw are made once and shared, which is exactly what
+    separate runs with the same seed would draw.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +48,6 @@ class SimConfig:
     target: GaussianMixture
     schedule: PwcSchedule
     initial: GaussianMixture | None = None      # None: delta at the origin
-    guidance_mode: str = "mf-linear"
-    guidance: GuidanceTrajectory | None = None  # explicit trajectory override
     n_particles: int = 8000
     n_steps: int = DEFAULT_N_STEPS
     seed: int = 20250101
@@ -59,8 +59,6 @@ class SimConfig:
             raise ValueError("need at least one particle")
         if self.n_steps < 10:
             raise ValueError("need at least 10 steps")
-        if self.guidance_mode not in GUIDANCE_MODES:
-            raise ValueError(f"unknown guidance mode {self.guidance_mode!r}; choose from {GUIDANCE_MODES}")
         if self.initial is not None and self.initial.dim != self.target.dim:
             raise ValueError("initial/target dimension mismatch")
 
@@ -73,23 +71,18 @@ class SimConfig:
         return self.initial.mean if self.initial is not None else np.zeros(self.dim)
 
 
-def guidance_for_mode(config: SimConfig) -> GuidanceTrajectory:
-    """Analytic guidance for each mode; closed-loop tables use the linear one."""
-    if config.guidance is not None:
-        return config.guidance
-    mode = config.guidance_mode
-    if mode in ("mf-linear", "closed-loop"):
-        return linear_guidance(config.initial_mean, config.target.mean)
+def guidance_for_mode(config: SimConfig, mode: str) -> GuidanceTrajectory:
+    """Analytic guidance of a mode in ``GUIDANCE_MODES``; closed-loop tables use the linear one."""
     if mode == "ia-zero":
         return constant_guidance(np.zeros(config.dim))
     if mode == "ia-target-mean":
         return constant_guidance(config.target.mean)
-    raise ValueError(mode)
+    return linear_guidance(config.initial_mean, config.target.mean)
 
 
-def tables_for_mode(config: SimConfig) -> CoeffTables:
-    """Coefficient tables of the configured guidance on the run's step grid."""
-    guidance = guidance_for_mode(config)
+def tables_for_mode(config: SimConfig, mode: str) -> CoeffTables:
+    """Coefficient tables of a mode's guidance on the run's step grid."""
+    guidance = guidance_for_mode(config, mode)
     return build_tables(config.schedule, guidance.pwc_values(config.schedule), config.n_steps)
 
 
@@ -238,48 +231,33 @@ def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
     return out
 
 
-SHARED_FIELDS = ("target", "initial", "schedule", "n_particles", "n_steps", "seed",
-                 "n_saved_paths", "snapshot_times")
+def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf-linear",),
+               tables: Sequence[CoeffTables] | None = None) -> list[EnergyReport]:
+    """Bridge simulation of the guidance ``modes`` on one problem, in one stacked pass.
 
-
-def _same(a, b) -> bool:
-    """Value equality that looks into dataclasses and compares arrays elementwise."""
-    if is_dataclass(a) and type(a) is type(b):
-        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    return a == b
-
-
-def run_bridge(configs: Sequence[SimConfig], tables: Sequence[CoeffTables] | None = None) -> list[EnergyReport]:
-    """Bridge simulation of several guidance modes in one stacked pass.
-
-    The configs differ only in guidance (``guidance_mode`` and
-    ``guidance``); every field in ``SHARED_FIELDS`` must be equal, else
-    ValueError.  The modes share the initial draw and each step's noise
-    draw, which is exactly what separate runs with one seed would draw.
-    ``tables`` (one per config) defaults to ``tables_for_mode`` of each.
-    Returns one ``EnergyReport`` per config, in order; each carries the
-    wall time of the whole pass.
+    The modes share the initial draw and each step's noise draw, which is
+    exactly what separate runs with one seed would draw.  ``tables`` (one
+    per mode) defaults to ``tables_for_mode`` of each; an unknown mode or a
+    count mismatch raises ValueError before any particle moves.  Returns
+    one ``EnergyReport`` per mode, in order; each carries the wall time of
+    the whole pass.
     """
     t_start = time.perf_counter()
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one config")
-    config = configs[0]
-    for other in configs[1:]:
-        for name in SHARED_FIELDS:
-            if not _same(getattr(config, name), getattr(other, name)):
-                raise ValueError(f"stacked configs differ in {name}")
-    tables = [tables_for_mode(c) for c in configs] if tables is None else list(tables)
-    if len(tables) != len(configs):
-        raise ValueError(f"{len(tables)} tables for {len(configs)} configs")
+    modes = list(modes)
+    if not modes:
+        raise ValueError("need at least one mode")
+    unknown = [m for m in modes if m not in GUIDANCE_MODES]
+    if unknown:
+        raise ValueError(f"unknown guidance modes {unknown}; choose from {GUIDANCE_MODES}")
+    tables = [tables_for_mode(config, m) for m in modes] if tables is None else list(tables)
+    if len(tables) != len(modes):
+        raise ValueError(f"{len(tables)} tables for {len(modes)} modes")
     ctx = ScoreContext(tables, config.target, config.initial)
-    M, B, d, n = len(configs), config.n_particles, config.dim, config.n_steps
+    M, B, d, n = len(modes), config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
     state = sample_initial(config, _stream(config.seed, 0), M)
-    closed_loop = np.array([c.guidance_mode == "closed-loop" for c in configs])
+    closed_loop = np.array([m == "closed-loop" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(config.n_saved_paths, B)
 
@@ -317,7 +295,7 @@ def run_bridge(configs: Sequence[SimConfig], tables: Sequence[CoeffTables] | Non
     n_target = config.target.n_components
     wall = time.perf_counter() - t_start
     reports = []
-    for m, cfg in enumerate(configs):
+    for m, mode in enumerate(modes):
         e, labels, final = energy[m], terminal_labels[m], by_mode[m]
         primary = state.labels if config.initial is not None else labels
         comp = _per_component(e, primary, n_primary)
@@ -346,7 +324,7 @@ def run_bridge(configs: Sequence[SimConfig], tables: Sequence[CoeffTables] | Non
             snapshots={ts: snap[m] for ts, snap in snapshots.items()},
             shifts=state.shifts,
             seed=config.seed,
-            guidance_mode=cfg.guidance_mode,
+            guidance_mode=mode,
             wall_seconds=wall,
         ))
     return reports

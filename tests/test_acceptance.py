@@ -12,7 +12,7 @@ import numpy as np
 
 import oracles
 from mfbridge.greens import build_tables
-from mfbridge.guidance import linear_guidance, pwc_guidance
+from mfbridge.guidance import linear_guidance
 from mfbridge.lqg import LqgProblem, solve_lqg
 from mfbridge.presets import dsweep_mixtures, ksweep_mixtures
 from mfbridge.schedule import PwcSchedule, geometric_schedule
@@ -27,8 +27,8 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def _run(target, initial, schedule, mode, n_particles, n_steps=2500, seed=20250101):
     cfg = SimConfig(target=target, schedule=schedule, initial=initial,
-                    guidance_mode=mode, n_particles=n_particles, n_steps=n_steps, seed=seed)
-    return run_bridge([cfg])[0]
+                    n_particles=n_particles, n_steps=n_steps, seed=seed)
+    return run_bridge(cfg, [mode])[0]
 
 
 def _scenario(name):
@@ -304,16 +304,14 @@ def test_criterion_8_fixed_point_consistency():
         mid_steps = np.round(mids * 2500).astype(int)
 
         def mean_map(nu_values):
-            traj = pwc_guidance(sched, nu_values)
             cfg = SimConfig(target=target, schedule=sched, initial=initial,
-                            guidance_mode="mf-linear", guidance=traj,
                             n_particles=8000, n_steps=2500, seed=808)
-            return run_bridge([cfg])[0].mean_trace[mid_steps]
+            return run_bridge(cfg, ["mf-linear"], [build_tables(sched, nu_values, 2500)])[0].mean_trace[mid_steps]
 
         nu0 = np.repeat(target.mean[None, :], 8, axis=0)
         res = fixed_point_guidance(sched, mean_map, nu0, tol=2e-4, max_iter=15)
         lin = linear_guidance(initial.mean, target.mean)
-        resid = float(np.max(np.abs(res.guidance.values - np.atleast_2d(lin(mids)))))
+        resid = float(np.max(np.abs(res.values - np.atleast_2d(lin(mids)))))
         ok &= res.converged and res.n_iterations <= 15 and resid <= bounds[name]
         lines.append(f"{name}: {res.n_iterations} iters, resid {resid:.4f} (limit {bounds[name]:.4f})")
     elapsed = time.perf_counter() - t0
@@ -323,13 +321,13 @@ def test_criterion_8_fixed_point_consistency():
 def test_criterion_9_trivial_limits():
     t0 = time.perf_counter()
     # interaction-free bridge onto a standard normal: no control anywhere
-    sched0 = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+    sched0 = PwcSchedule([0.0, 1.0], [0.0])
     tab0 = build_tables(sched0, np.zeros((1, 1)))
     ctx0 = ScoreContext(tab0, GaussianMixture.isotropic([1.0], [0.0], [1.0]))
     worst_u = max(abs(score_at(ctx0, t, [x])[0])
                   for t in (0.05, 0.25, 0.5, 0.75, 0.95) for x in np.linspace(-4, 4, 17))
     cfg = SimConfig(target=ctx0.target, schedule=sched0, n_particles=2000, n_steps=250, seed=9)
-    zero_energy = run_bridge([cfg])[0].total
+    zero_energy = run_bridge(cfg)[0].total
 
     # single-component target: exactly affine score
     sched = geometric_schedule(12.0, 0.65, 8)

@@ -204,6 +204,46 @@ def test_cli_density(tmp_path):
         assert mass == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("name", ["lqg-tcl", "scenario-a", "scenario-b"])
+def test_density_grid_holds_the_whole_mass(tmp_path, name):
+    # every curve at the default times integrates to one on the shared grid
+    out = tmp_path / name
+    assert main(["density", "--preset", name, "--modes", "mf,ia0,iam,cl", "--out", str(out)]) == 0
+    with open(out / "density.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    modes = [c for c in rows[0] if c.startswith("p_")]
+    assert len(modes) == 4
+    for t in sorted({r["t"] for r in rows}):
+        curve = [r for r in rows if r["t"] == t]
+        x = np.array([float(r["x"]) for r in curve])
+        for m in modes:
+            mass = np.trapezoid([float(r[m]) for r in curve], x)
+            assert abs(mass - 1.0) <= 1e-6, (t, m, mass)
+
+
+@pytest.mark.parametrize("name, value", [("scenario-b", None), ("d-sweep", 2.0)])
+def test_trajectories_csv_rows_match_the_report(tmp_path, name, value):
+    import mfbridge.cli as climod
+    from mfbridge.presets import MODE_NAMES
+    from mfbridge.simulate import run_bridge
+
+    cfg = preset(name)
+    cfg.modes, cfg.n_particles, cfg.n_steps = ["mf", "ia0"], 20, 1000
+    climod._run_point(cfg, value, tmp_path)
+    reports = run_bridge(climod._sim_config(cfg, value), [MODE_NAMES[m] for m in cfg.modes])
+    raw = (tmp_path / "trajectories.csv").read_bytes()
+    with open(tmp_path / "trajectories.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert raw.count(b"\r\n") == raw.count(b"\n") == len(rows)
+    ts = np.arange(cfg.n_steps + 1) / cfg.n_steps
+    stride = 2  # the file keeps every (n_steps // 500)-th step
+    want = [[m, str(pid), f"{t:.6f}", *(f"{v:.6g}" for v in x)]
+            for m, rep in zip(cfg.modes, reports)
+            for pid, path in enumerate(rep.trajectories)
+            for t, x in zip(ts[::stride], path[::stride])]
+    assert rows[1:] == want
+
+
 def test_cli_guidance_check(tmp_path):
     out = tmp_path / "gc"
     rc = main(["guidance-check", "--preset", "scenario-b", "--particles", "600",
@@ -251,8 +291,8 @@ def test_cli_probe_failure_exit_code(monkeypatch, tmp_path, capsys):
     import mfbridge.cli as climod
     from mfbridge.simulate import tables_for_mode
 
-    def broken_tables(sim_cfg):
-        tables = tables_for_mode(sim_cfg)
+    def broken_tables(sim_cfg, mode):
+        tables = tables_for_mode(sim_cfg, mode)
         tables.bwd.c_anchor[3] -= 1e3  # K < 0 on one interval
         return tables
 

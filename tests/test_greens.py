@@ -28,7 +28,7 @@ def _zero_guidance_tables(sched):
 
 
 def test_forward_heat_kernel_limit():
-    sched = PwcSchedule([0.0, 0.4, 1.0], [0.0, 0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 0.4, 1.0], [0.0, 0.0])
     ts = np.linspace(0.02, 0.98, 25)
     co = _zero_guidance_tables(sched).sample(ts)
     assert np.max(np.abs(co.a_plus * ts - 1.0)) < 1e-12
@@ -49,7 +49,7 @@ def test_backward_terminal_interval_values():
 
 
 def test_backward_bridge_kernel_limit():
-    sched = PwcSchedule([0.0, 0.3, 1.0], [0.0, 0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 0.3, 1.0], [0.0, 0.0])
     ts = np.linspace(0.02, 0.98, 25)
     co = _zero_guidance_tables(sched).sample(ts)
     for v in (co.a, co.b, co.c):
@@ -87,7 +87,7 @@ def test_shift_propagators_match_unit_source(paper_schedule):
 
 
 def test_lambda_zero_without_interaction():
-    sched = PwcSchedule([0.0, 0.5, 1.0], [0.0, 0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 0.5, 1.0], [0.0, 0.0])
     co = _zero_guidance_tables(sched).sample(np.linspace(0.05, 0.95, 11))
     assert np.max(np.abs(co.lam_plus)) == 0.0
     assert np.max(np.abs(co.lam_x)) == 0.0
@@ -237,7 +237,7 @@ def test_mixed_zero_beta_schedules_match_rk4(intervals, d, seed, relerr):
     widths, betas = (np.array(v) for v in zip(*intervals))
     bp = np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
     bp[-1] = 1.0
-    sched = PwcSchedule(bp, betas, allow_zero_beta=True)
+    sched = PwcSchedule(bp, betas)
     nu = np.random.default_rng(seed).uniform(-2.0, 3.0, size=(sched.n_intervals, d))
     ts = np.linspace(0.015, 0.985, 23)
     # the coth branch of interval i is defined iff a_plus enters it above omega_i

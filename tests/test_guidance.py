@@ -5,7 +5,6 @@ from mfbridge.guidance import (
     constant_guidance,
     fixed_point_guidance,
     linear_guidance,
-    pwc_guidance,
 )
 from mfbridge.lqg import sinh_ratio
 
@@ -49,11 +48,6 @@ def test_pwc_values_midpoint_sampling(paper_schedule):
 def test_constant_and_pwc_eval(paper_schedule):
     c = constant_guidance([1.5, -0.5])
     assert np.allclose(c(0.77), [1.5, -0.5])
-    vals = np.arange(8.0)[:, None]
-    g = pwc_guidance(paper_schedule, vals)
-    assert g(0.0)[0] == 0.0
-    assert g(0.13)[0] == 1.0
-    assert g(1.0)[0] == 7.0
 
 
 def test_fixed_point_converges_on_contraction(paper_schedule):
@@ -65,7 +59,7 @@ def test_fixed_point_converges_on_contraction(paper_schedule):
 
     res = fixed_point_guidance(paper_schedule, mean_map, np.zeros((8, 1)), tol=1e-6, max_iter=40)
     assert res.converged
-    assert np.max(np.abs(res.guidance.values - target)) < 1e-5
+    assert np.max(np.abs(res.values - target)) < 1e-5
     assert all(b < a for a, b in zip(res.max_updates, res.max_updates[1:]))
 
 
@@ -86,4 +80,4 @@ def test_degenerate_symmetric_fixed_point(paper_schedule):
     res = fixed_point_guidance(paper_schedule, mean_map, np.zeros((8, 1)), tol=1e-10, max_iter=3)
     assert res.converged
     assert res.n_iterations == 1
-    assert np.all(res.guidance.values == 0.0)
+    assert np.all(res.values == 0.0)

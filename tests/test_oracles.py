@@ -56,7 +56,7 @@ def test_linear_shoot_hits_terminal_mean(m_bar):
 
 
 def test_rk4_forward_heat_kernel():
-    sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 1.0], [0.0])
     ts = np.linspace(0.05, 0.95, 19)
     a = oracles.rk4_riccati_forward(sched, ts)
     assert np.max(np.abs(a - 1.0 / ts) * ts) < 1e-8
@@ -71,7 +71,7 @@ def test_rk4_forward_constant_beta():
 
 
 def test_rk4_backward_bridge_kernel():
-    sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 1.0], [0.0])
     ts = np.linspace(0.05, 0.95, 19)
     a, b, c = oracles.rk4_riccati_backward(sched, ts)
     for v in (a, b, c):
@@ -89,7 +89,7 @@ def test_psi_constant_for_matched_heat_kernel(paper_schedule):
     from mfbridge.greens import build_tables
     from mfbridge.score import GaussianMixture
 
-    sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 1.0], [0.0])
     tab = build_tables(sched, np.zeros((1, 1)))
     tgt = GaussianMixture.isotropic([1.0], [0.0], [1.0])
     vals = [oracles.psi_quadrature(tab, tgt, 0.4, x) for x in (-2.0, -0.3, 0.9, 2.4)]

@@ -71,6 +71,6 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         PwcSchedule([0.0, 1.0], [1.0, 2.0])            # wrong beta count
     with pytest.raises(ValueError):
-        PwcSchedule([0.0, 1.0], [0.0])                 # zero beta needs opt-in
-    sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+        PwcSchedule([0.0, 1.0], [-1.0])                # negative beta
+    sched = PwcSchedule([0.0, 1.0], [0.0])             # zero beta: the bridge limit
     assert sched.betas[0] == 0.0

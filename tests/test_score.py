@@ -20,7 +20,7 @@ from mfbridge.score import (
 
 @pytest.fixture(scope="module")
 def free_tables():
-    sched = PwcSchedule([0.0, 0.5, 1.0], [0.0, 0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 0.5, 1.0], [0.0, 0.0])
     return build_tables(sched, np.zeros((2, 1)))
 
 
@@ -306,9 +306,8 @@ def test_marginal_matches_monte_carlo_histogram(ctx_b, paper_schedule, dr_target
     from mfbridge.simulate import SimConfig, run_bridge
 
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
-                    guidance_mode="mf-linear", n_particles=4000, n_steps=600,
-                    seed=123, snapshot_times=(0.5,))
-    rep = run_bridge([cfg])[0]
+                    n_particles=4000, n_steps=600, seed=123, snapshot_times=(0.5,))
+    rep = run_bridge(cfg)[0]
     xs = rep.snapshots[0.5][:, 0]
     edges = np.linspace(-1, 6, 36)
     hist, _ = np.histogram(xs, bins=edges, density=True)
@@ -329,9 +328,8 @@ def test_marginal_density_snapshots_wide_scenario(paper_schedule, dr_target, ini
     ctx = ScoreContext(tab, dr_target, initial=initial_a)
     times = (0.1, 0.3, 0.5, 0.7)
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_a,
-                    guidance_mode="mf-linear", n_particles=8000, n_steps=1000,
-                    seed=321, snapshot_times=times)
-    rep = run_bridge([cfg])[0]
+                    n_particles=8000, n_steps=1000, seed=321, snapshot_times=times)
+    rep = run_bridge(cfg)[0]
     for t in times:
         xs = rep.snapshots[t][:, 0]
         edges = np.linspace(xs.min() - 0.5, xs.max() + 0.5, 41)

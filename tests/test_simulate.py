@@ -6,10 +6,9 @@ import pytest
 
 import mfbridge.simulate as simulate
 from mfbridge.errors import ProbeError
-from mfbridge.guidance import constant_guidance
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
-from mfbridge.simulate import (SimConfig, guidance_for_mode, run_bridge, sample_initial,
+from mfbridge.simulate import (GUIDANCE_MODES, SimConfig, guidance_for_mode, run_bridge, sample_initial,
                                tables_for_mode, _stream)
 
 
@@ -27,22 +26,16 @@ def small_config(**kw):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config(guidance_mode="nope")
-    with pytest.raises(ValueError):
         small_config(n_steps=5)
 
 
 def test_guidance_modes_resolve():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    g = guidance_for_mode(cfg)
+    g = guidance_for_mode(cfg, "mf-linear")
     assert np.allclose(g(0.0), cfg.initial.mean)
     assert np.allclose(g(1.0), cfg.target.mean)
-    cfg0 = small_config(guidance_mode="ia-zero")
-    assert np.allclose(guidance_for_mode(cfg0)(0.5), 0.0)
-    cfgm = small_config(guidance_mode="ia-target-mean")
-    assert np.allclose(guidance_for_mode(cfgm)(0.5), cfg.target.mean)
-    cfgf = small_config(guidance=constant_guidance([2.0]))
-    assert np.allclose(guidance_for_mode(cfgf)(0.9), 2.0)
+    assert np.allclose(guidance_for_mode(cfg, "ia-zero")(0.5), 0.0)
+    assert np.allclose(guidance_for_mode(cfg, "ia-target-mean")(0.5), cfg.target.mean)
 
 
 def test_sample_initial_delta():
@@ -71,12 +64,12 @@ def test_sample_initial_mixture_fractions():
 
 def test_pure_diffusion_when_score_vanishes():
     # matched heat kernel: zero drift, terminal law N(0, 1)
-    sched = PwcSchedule([0.0, 1.0], [0.0], allow_zero_beta=True)
+    sched = PwcSchedule([0.0, 1.0], [0.0])
     cfg = SimConfig(
         target=GaussianMixture.isotropic([1.0], [0.0], [1.0]),
         schedule=sched, n_particles=20000, n_steps=200, seed=5,
     )
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     assert rep.total < 1e-10
     assert abs(rep.mean_trace[-1, 0]) < 4 / np.sqrt(20000)
     assert abs(rep.std_trace[-1, 0] - 1.0) < 0.03
@@ -87,7 +80,7 @@ def test_single_gaussian_terminal_moments():
         target=GaussianMixture.isotropic([1.0], [1.2], [0.4]),
         n_particles=8000, n_steps=1000,
     )
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     se_mean = rep.std_trace[-1, 0] / np.sqrt(8000)
     assert abs(rep.mean_trace[-1, 0] - 1.2) < 3 * se_mean + 1e-3
     assert abs(rep.std_trace[-1, 0] - 0.4) < 3 * 0.4 / np.sqrt(2 * 8000) + 0.4 / 1000
@@ -95,19 +88,19 @@ def test_single_gaussian_terminal_moments():
 
 def test_seed_determinism():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    r1 = run_bridge([cfg])[0]
-    r2 = run_bridge([cfg])[0]
+    r1 = run_bridge(cfg)[0]
+    r2 = run_bridge(cfg)[0]
     assert r1.total == r2.total
     assert np.array_equal(r1.mean_trace, r2.mean_trace)
     assert np.array_equal(r1.trajectories, r2.trajectories)
-    r3 = run_bridge([small_config(seed=8, initial=cfg.initial)])[0]
+    r3 = run_bridge(small_config(seed=8, initial=cfg.initial))[0]
     assert r3.total != r1.total
 
 
 def test_energy_decomposition_identity():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]),
                        n_particles=3000, n_steps=400)
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     total_from_parts = sum(rep.fractions[k] * rep.component_energy[k][0]
                            for k in rep.component_energy if rep.component_energy[k][2] > 0)
     assert abs(total_from_parts - rep.total) < 1e-10
@@ -118,14 +111,14 @@ def test_energy_decomposition_identity():
 
 def test_energy_nonnegative_and_monotone():
     cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     assert np.all(np.diff(rep.energy_trace) >= -1e-12)
     assert np.all(rep.power >= 0)
 
 
 def test_terminal_attribution_for_delta_start():
     cfg = small_config(n_particles=2000, n_steps=500)
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     assert rep.attribution == "terminal"
     fr = rep.fractions
     assert abs(fr[0] - 0.6) < 3 * np.sqrt(0.6 * 0.4 / 2000) + 0.02
@@ -139,7 +132,7 @@ def test_multi_zone_shapes_and_energy_split():
     initial = GaussianMixture.isotropic([0.6, 0.4], [[1.5] * d, [5.5] * d], [0.5, 0.7])
     cfg = SimConfig(target=target, schedule=geometric_schedule(12.0, 0.65, 8),
                     initial=initial, n_particles=500, n_steps=300, seed=3)
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     assert rep.mean_trace.shape == (301, d)
     assert rep.zone_energy.shape == (d,)
     assert rep.zone_energy.sum() == pytest.approx(rep.total, abs=1e-9)
@@ -148,11 +141,8 @@ def test_multi_zone_shapes_and_energy_split():
 
 def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
-                    guidance_mode="mf-linear", n_particles=4000, n_steps=800, seed=21)
-    rep = run_bridge([cfg])[0]
-    cfg_cl = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
-                       guidance_mode="closed-loop", n_particles=4000, n_steps=800, seed=21)
-    rep_cl = run_bridge([cfg_cl])[0]
+                    n_particles=4000, n_steps=800, seed=21)
+    rep, rep_cl = run_bridge(cfg, ["mf-linear", "closed-loop"])
     assert abs(rep_cl.total / rep.total - 1.0) < 0.02
     # terminal law matches the target mixture component-wise
     for rp in (rep, rep_cl):
@@ -165,24 +155,23 @@ def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
 
 def test_snapshots_recorded():
     cfg = small_config(snapshot_times=(0.0, 0.5, 1.0))
-    rep = run_bridge([cfg])[0]
+    rep = run_bridge(cfg)[0]
     assert set(rep.snapshots) == {0.0, 0.5, 1.0}
     assert rep.snapshots[0.5].shape == (400, 1)
     assert np.all(rep.snapshots[0.0] == 0.0)
 
 
 def _zero_beta_delta_config():
-    sched = PwcSchedule([0.0, 0.25, 0.5, 0.75, 1.0], [6.0, 0.0, 2.0, 0.0], allow_zero_beta=True)
-    return small_config(schedule=sched)
+    sched = PwcSchedule([0.0, 0.25, 0.5, 0.75, 1.0], [6.0, 0.0, 2.0, 0.0])
+    return small_config(schedule=sched), "mf-linear"
 
 
 def _mixture_config():
-    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "mf-linear"
 
 
 def _closed_loop_config():
-    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]),
-                        guidance_mode="closed-loop")
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "closed-loop"
 
 
 @pytest.mark.parametrize("make_config", [_zero_beta_delta_config, _mixture_config, _closed_loop_config])
@@ -190,8 +179,8 @@ def test_step_table_rows_match_scalar_coeffs(make_config):
     # the vectorised per-step table run_bridge builds equals the one-time
     # evaluation at every step time, field by field (nu is the closed-loop
     # re-centring reference)
-    cfg = make_config()
-    ctx = ScoreContext(tables_for_mode(cfg), cfg.target, cfg.initial)
+    cfg, mode = make_config()
+    ctx = ScoreContext(tables_for_mode(cfg, mode), cfg.target, cfg.initial)
     n = cfg.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
@@ -202,34 +191,44 @@ def test_step_table_rows_match_scalar_coeffs(make_config):
             np.testing.assert_allclose(getattr(row, name), getattr(co, name), rtol=1e-14, atol=0, err_msg=name)
 
 
+def _no_step(*args, **kwargs):
+    raise AssertionError("a particle moved before the check")
+
+
 def test_probe_failure_raises_before_first_step(monkeypatch):
     cfg = small_config()
-    tables = tables_for_mode(cfg)
+    tables = tables_for_mode(cfg, "mf-linear")
     tables.bwd.c_anchor[3] -= 1e3  # K < 0 on [0.375, 0.5) only
-
-    def no_step(*args, **kwargs):
-        raise AssertionError("a particle moved before the probe check")
-
-    monkeypatch.setattr(simulate, "step", no_step)
+    monkeypatch.setattr(simulate, "step", _no_step)
     # first step time at or after 0.375 on the 250-step grid
     with pytest.raises(ProbeError, match=r"at t=0\.376"):
-        run_bridge([cfg], [tables])
+        run_bridge(cfg, ["mf-linear"], [tables])
 
 
-def _stacked_configs():
-    base = dict(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]), n_particles=300)
-    return [small_config(guidance_mode=mode, **base)
-            for mode in ("mf-linear", "ia-zero", "ia-target-mean", "closed-loop")]
+def test_run_bridge_rejects_bad_modes_before_first_step(monkeypatch):
+    cfg = small_config()
+    monkeypatch.setattr(simulate, "step", _no_step)
+    with pytest.raises(ValueError, match="'nope'"):
+        run_bridge(cfg, ["mf-linear", "nope"])
+    with pytest.raises(ValueError, match="1 tables for 2 modes"):
+        run_bridge(cfg, ["mf-linear", "ia-zero"], [tables_for_mode(cfg, "mf-linear")])
+
+
+def test_run_bridge_defaults_to_one_mf_linear_report():
+    cfg = small_config(n_particles=50, n_steps=50)
+    rep, = run_bridge(cfg)
+    assert rep.guidance_mode == "mf-linear"
+    assert rep.total == run_bridge(cfg, ["mf-linear"])[0].total
 
 
 def test_stacked_run_equals_single_runs():
     # the modes share every draw, so one stacked pass reproduces each
     # single-mode run up to rounding
-    configs = _stacked_configs()
-    stacked = run_bridge(configs)
-    assert [r.guidance_mode for r in stacked] == [c.guidance_mode for c in configs]
-    for cfg, rep in zip(configs, stacked):
-        single, = run_bridge([cfg])
+    cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]), n_particles=300)
+    stacked = run_bridge(cfg, GUIDANCE_MODES)
+    assert [r.guidance_mode for r in stacked] == list(GUIDANCE_MODES)
+    for mode, rep in zip(GUIDANCE_MODES, stacked):
+        single, = run_bridge(cfg, [mode])
         assert rep.total == pytest.approx(single.total, rel=1e-13, abs=0)
         for name in ("power", "mean_trace", "zone_energy", "particle_energy", "trajectories"):
             np.testing.assert_allclose(getattr(rep, name), getattr(single, name), rtol=1e-13, atol=0, err_msg=name)
@@ -239,19 +238,3 @@ def test_stacked_run_equals_single_runs():
             assert rep.component_energy[k][1] == pytest.approx(se, rel=1e-13, abs=0)
     totals = [r.total for r in stacked]
     assert len(set(totals)) == len(totals)
-
-
-@pytest.mark.parametrize("change", [dict(seed=8), dict(n_particles=301)], ids=["seed", "n_particles"])
-def test_stacked_run_rejects_configs_that_differ(change):
-    mf, ia0 = _stacked_configs()[:2]
-    other = SimConfig(**{**{f.name: getattr(ia0, f.name) for f in fields(SimConfig)}, **change})
-    with pytest.raises(ValueError, match=f"differ in {next(iter(change))}"):
-        run_bridge([mf, other])
-
-
-def test_stacked_run_accepts_equal_but_distinct_mixtures():
-    cfg = small_config()
-    twin = small_config(target=GaussianMixture.isotropic([0.6, 0.4], [0.0, 1.5], [0.2, 0.3]),
-                        guidance_mode="ia-zero")
-    assert twin.target is not cfg.target
-    assert len(run_bridge([cfg, twin])) == 2
