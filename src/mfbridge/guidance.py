@@ -82,7 +82,7 @@ def fixed_point_guidance(
     empirical ensemble means at the interval midpoints under that guidance.
     For a deterministic contraction the caller should evaluate the map with
     common random numbers across iterations.  Non-convergence returns the
-    best iterate flagged converged=False.
+    last iterate flagged converged=False.
     """
     nu = np.atleast_2d(np.asarray(nu0, dtype=float)).copy()
     if nu.shape[0] != schedule.n_intervals:
