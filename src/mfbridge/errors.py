@@ -16,10 +16,6 @@ class InfeasibleTargetError(NumericalError):
     """Bridge variance constraint has no solution in the admissible branch."""
 
 
-class CoefficientDomainError(NumericalError):
-    """Closed-form coefficient recursion left its hyperbolic branch."""
-
-
 class ProbeError(NumericalError):
     """Probe precision lost positivity; schedule or anchoring inconsistency."""
 

@@ -14,42 +14,43 @@ coefficients theta are the physical (continuous) ones; the recentred
 variants used in kernel notation are recovered as r = theta_x - (a-b) nu,
 s = theta_y - (c-b) nu, s_plus = theta_plus - a_plus nu.
 
-Within one interval everything is hyperbolic, with omega = sqrt(beta):
+In the distance tau from an anchor, tau = t - t_i forward and
+tau = t_{i+1} - t backward, a_plus and a solve the same equation
+da/dtau = beta - a^2, and theta_plus and theta_x the same linear one
+dtheta/dtau = -a theta + beta src.  Within one interval everything is
+hyperbolic, with omega = sqrt(beta) and T = tanh(omega tau):
 
-    a_plus(t) = omega coth(omega tau + phi_i),   tau = t - t_i,
-    (terminal) a = c = omega coth(omega sg), b = omega csch(omega sg),
-    sg = 1 - t, and theta_x = theta_y = omega nu tanh(omega sg / 2);
-    (earlier intervals, anchored at the right endpoint, tau = t_{i+1} - t,
-     T = tanh(omega tau))
-    a(t) = omega (a_r + omega T) / (omega + a_r T),
+    a = omega (a_r + omega T) / (omega + a_r T)          (Moebius form)
+    theta = hom theta_r + drive src,
+        hom = omega sech(omega tau) / (omega + a_r T),  drive = a - hom a_r,
     b(t) = b_r * omega sech(omega tau) / (omega + a_r T),
     c(t) = c_r - b_r^2 T / (omega + a_r T),
 
-the last two being the cancellation-free forms of the square-root ratio and
-telescoping updates.  The phase phi of the first interval is 0 (singular
-delta start a_plus ~ 1/t); later phases are set by continuity.  Anchors:
-theta_plus(0+) = 0 and theta_x(1-) = theta_y(1-) = 0 (delta kernels carry no
-linear term).  The shift propagators lambda solve the same linear ODEs with
-the source beta nu replaced by beta.
+from the values a_r, theta_r, b_r, c_r at the anchor.  The form holds for
+every anchor a_r >= 0, so any stiffness schedule builds.  A delta anchor
+(a_r = inf: a_plus at t = 0, a, b, c at t = 1) gives a = omega coth(omega
+tau), hom = 0 and drive = omega tanh(omega tau / 2); the terminal b is
+omega csch(omega tau) and c = a there.  Anchors of the linear coefficients:
+theta_plus(0+) = 0 and theta_x(1-) = theta_y(1-) = 0 (delta kernels carry
+no linear term).  The shift propagators lambda solve the same linear ODEs
+with the source beta nu replaced by beta.
 
 beta = 0 intervals use the algebraic limits (heat/bridge kernels): omega is
 0 there, the scale omega becomes 1, and tanh and sinh the identity.
 
-Each closed form is written once, in the evaluator of its branch:
-``ForwardScalar.a`` (a_plus), ``BackwardScalar.abc`` (a, b, c; the terminal
-interval anchored at the delta) and per-row gains for the linear
-coefficients, theta_plus = hom theta_plus(t_i) + drive nu_i,
-theta_x = R x_r + gx nu_i and theta_y = y_r + gyx x_r + gy nu_i, with x_r,
-y_r the values at the interval's right end.  The builders take every anchor
+Each closed form is written once: ``_mobius`` evaluates a and the gains
+(hom, drive) for both branches, ``ForwardScalar._forms`` from each left end
+and ``BackwardScalar._forms`` from each right end, which adds b, c and the
+gains theta_y = y_r + gyx x_r + gy src.  The builders take every anchor
 from those evaluators at the interval boundaries: the forward walk at each
 right end, the backward walk at each left end, and the linear coefficients
 by a short recurrence over the gains of whole intervals.
 
 ``CoeffTables.sample(ts)`` is the one evaluator of the assembled tables: it
 looks the interval of every time up once, evaluates each branch in a single
-pass (forward a_plus; backward a, b, c and the gains, shared by the guidance
-and the shift propagators) and returns one ``KernelCoeffs`` of per-time
-arrays.  The closed forms are exact at any interior time, so
+pass (forward a_plus and its gains; backward a, b, c and the gains, shared
+by the guidance and the shift propagators) and returns one ``KernelCoeffs``
+of per-time arrays.  The closed forms are exact at any interior time, so
 interval-boundary continuity holds to rounding.
 """
 
@@ -59,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientDomainError
 from .schedule import PwcSchedule, interval_of
 
 __all__ = ["ForwardScalar", "BackwardScalar", "LinearCoeffs", "CoeffTables", "KernelCoeffs",
@@ -81,6 +81,24 @@ def _omega(schedule: PwcSchedule) -> tuple:
     return zero, np.where(zero, 0.0, np.sqrt(schedule.betas))
 
 
+def _mobius(tau, zero, omega, a_r, delta) -> tuple:
+    """(a, hom, drive, s, T, sech, den) at the distance tau from the anchor a_r.
+
+    a solves da/dtau = beta - a^2 from a_r, and theta = hom theta_r + drive
+    source solves dtheta/dtau = -a theta + beta source from theta_r.  The
+    rows ``delta`` are anchored at a delta (a_r = inf; the anchor arrays hold
+    nan there).  s, T, sech and den are the pieces the backward b and c reuse.
+    """
+    s = _where(zero, 1.0, omega)                 # zero beta: the algebraic limits
+    T = _where(zero, tau, np.tanh(omega * tau))
+    cosh = np.cosh(omega * tau)
+    den = s + a_r * T                            # > 0, as every anchor a_r is
+    a = _where(delta, s / _where(delta, T, 1.0), s * (a_r + omega * T) / den)  # T = 0 at a left end, tau = 0
+    hom = _where(delta, 0.0, s / (cosh * den))
+    drive = _where(delta, omega * np.tanh(0.5 * omega * tau), a - hom * a_r)
+    return a, hom, drive, s, T, 1.0 / cosh, den
+
+
 def _plus(gains, start, src):
     """theta_plus from its gains, the value at the interval start and the source."""
     hom, drive = gains
@@ -100,62 +118,30 @@ def _pair(gains, x_r, y_r, src):
 @dataclass
 class ForwardScalar:
     schedule: PwcSchedule
-    omega: np.ndarray       # (M,) sqrt(beta), 0 on zero-beta intervals
-    phi: np.ndarray         # (M,) phases; first is 0
-    inv_a_start: np.ndarray  # (M,) 1/a at interval start, zero-beta branch only
-    a_right: np.ndarray     # (M,) value at each right endpoint
-    zero: np.ndarray        # (M,) bool, beta == 0 branch
+    omega: np.ndarray     # (M,) sqrt(beta), 0 on zero-beta intervals
+    zero: np.ndarray      # (M,) bool, beta == 0 branch
+    a_left: np.ndarray    # (M,) value at left end of interval i (nan for the first: the delta anchors it)
+    a_end: float = np.nan  # value at t = 1
 
-    @property
-    def a_end(self) -> float:
-        return float(self.a_right[-1])
+    def _forms(self, t, idx) -> tuple:
+        """(a_plus, hom, drive) at the times t in the intervals idx (arrays, or one time and its interval).
 
-    def _phase(self, t, idx):
-        """(zero, omega, X0, X): the coth argument X at t and X0 at the interval start.
-
-        X = omega tau + phi; on zero-beta intervals X = tau + 1/a(t_i), the
-        beta -> 0 limit of X / omega, and sinh, tanh become the identity.
+        The last two are the gains theta_plus = hom theta_plus(t_i) + drive
+        source_i on interval i.
         """
-        z = self.zero[idx]
-        w = self.omega[idx]
-        x0 = _where(z, self.inv_a_start[idx], self.phi[idx])
         tau = t - self.schedule.breakpoints[idx]
-        return z, w, x0, x0 + _where(z, tau, w * tau)
-
-    def a(self, t, idx):
-        """a_plus at the times t, which lie in the intervals idx (arrays, or one time and its interval)."""
-        z, w, _, X = self._phase(t, idx)
-        return _where(z, 1.0, w) / _where(z, X, np.tanh(X))
-
-    def _plus_gains(self, t, idx) -> tuple:
-        """(hom, drive): theta_plus(t) = hom theta_plus(t_i) + drive source_i on interval i."""
-        z, w, X0, X = self._phase(t, idx)
-        sinhX = np.where(z, X, np.sinh(X))
-        live = sinhX > 0  # X = 0 only at t = 0, where theta_plus = 0
-        sinhX = np.where(live, sinhX, 1.0)
-        hom = np.where(live, np.where(z, X0, np.sinh(X0)) / sinhX, 1.0)
-        drive = (self.schedule.betas[idx] / np.where(z, 1.0, w)) * (np.cosh(X) - np.cosh(X0)) / sinhX
-        return hom, np.where(z, 0.0, drive)
+        return _mobius(tau, self.zero[idx], self.omega[idx], self.a_left[idx], idx == 0)[:3]
 
 
 def forward_scalar(schedule: PwcSchedule) -> ForwardScalar:
-    """Forward Riccati coefficient: first-interval phase 0, then continuity."""
+    """Forward Riccati coefficient, anchored at the initial delta."""
     M = schedule.n_intervals
     zero, omega = _omega(schedule)
-    fwd = ForwardScalar(schedule, omega, np.zeros(M), np.zeros(M), np.zeros(M), zero)
-    for i in range(M):
-        if i > 0:
-            a_in = fwd.a_right[i - 1]
-            if zero[i]:
-                fwd.inv_a_start[i] = 1.0 / a_in
-            elif a_in <= omega[i] * (1.0 + 1e-12):
-                raise CoefficientDomainError(
-                    f"interval {i}: incoming forward coefficient {a_in:.6g} <= omega {omega[i]:.6g}; "
-                    "coth branch undefined (schedule must keep a_plus above omega)"
-                )
-            else:
-                fwd.phi[i] = 0.5 * np.log1p(2.0 / (a_in / omega[i] - 1.0))  # arccoth(a_in / omega)
-        fwd.a_right[i] = fwd.a(schedule.breakpoints[i + 1], i)
+    fwd = ForwardScalar(schedule, omega, zero, np.full(M, np.nan))
+    # walk left to right: the anchor of interval i is the right-end value of i-1
+    for i in range(1, M):
+        fwd.a_left[i] = fwd._forms(schedule.breakpoints[i], i - 1)[0]
+    fwd.a_end = float(fwd._forms(schedule.breakpoints[M], M - 1)[0])
     return fwd
 
 
@@ -187,20 +173,12 @@ class BackwardScalar:
         tau = _where(term, 1.0, self.schedule.breakpoints[idx + 1]) - t
         z = self.zero[idx]
         w = self.omega[idx]
-        s = _where(z, 1.0, w)                    # zero beta: the algebraic limits
-        T = _where(z, tau, np.tanh(w * tau))
-        cosh = np.cosh(w * tau)
-        sech = 1.0 / cosh
         a_r, b_r, c_r = self.a_anchor[idx], self.b_anchor[idx], self.c_anchor[idx]
-        den = s + a_r * T                        # > 0, as every anchor a_r is
-        a = _where(term, s / T, s * (a_r + w * T) / den)
+        a, R, gx, s, T, sech, den = _mobius(tau, z, w, a_r, term)
         b = _where(term, s / _where(z, tau, np.sinh(w * tau)), b_r * s * sech / den)
         c = _where(term, a, c_r - b_r * b_r * T / den)
-        R = _where(term, 0.0, s / (cosh * den))
-        drive = w * np.tanh(0.5 * w * tau)       # terminal theta_x = theta_y per unit source
-        gx = _where(term, drive, a - R * a_r)
         gyx = _where(term, 0.0, b_r * (T / den))
-        gy = _where(term, drive, b_r * (s * (1.0 - sech) / den))
+        gy = _where(term, gx, b_r * (s * (1.0 - sech) / den))  # terminal: theta_x = theta_y
         return a, b, c, R, gx, gyx, gy
 
 
@@ -239,7 +217,7 @@ class LinearCoeffs:
 
     def evaluate(self, t: np.ndarray, idx: np.ndarray) -> tuple:
         """(theta_plus, theta_x, theta_y), each (n, d), at the times t in the intervals idx."""
-        return self._combine(self.fwd._plus_gains(t, idx), self.bwd._forms(t, idx)[3:], idx)
+        return self._combine(self.fwd._forms(t, idx)[1:], self.bwd._forms(t, idx)[3:], idx)
 
     def _combine(self, plus_gains, pair_gains, idx) -> tuple:
         """(theta_plus, theta_x, theta_y) from per-row gains of the rows in the intervals idx."""
@@ -258,7 +236,7 @@ def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: Backwa
     d = source.shape[1]
     bp = schedule.breakpoints
     # theta_plus forward over whole intervals: ends[i] = theta_plus(t_i), ends[0] = 0
-    plus_gains = np.array(fwd._plus_gains(bp[1:], np.arange(M)))
+    plus_gains = np.array(fwd._forms(bp[1:], np.arange(M))[1:])
     ends = np.zeros((M + 1, d))
     for i in range(M):
         ends[i + 1] = _plus(plus_gains[:, i], ends[i], source[i])
@@ -365,12 +343,12 @@ class CoeffTables:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = interval_of(self.schedule, ts)
         a, b, c, *pair_gains = self.bwd._forms(ts, idx)
-        plus_gains = self.fwd._plus_gains(ts, idx)
+        a_plus, *plus_gains = self.fwd._forms(ts, idx)
         theta_plus, theta_x, theta_y = self.theta._combine(plus_gains, pair_gains, idx)
         lam_plus, lam_x, lam_y = (v[:, 0] for v in self.lam._combine(plus_gains, pair_gains, idx))
         return KernelCoeffs(
             t=ts, a=a, b=b, c=c, K=c - self.a_plus_end, theta_x=theta_x, theta_y=theta_y,
-            a_plus=self.fwd.a(ts, idx), theta_plus=theta_plus,
+            a_plus=a_plus, theta_plus=theta_plus,
             lam_plus=lam_plus, lam_x=lam_x, lam_y=lam_y, nu=self.nu[idx],
         )
 

@@ -48,9 +48,6 @@ class PwcSchedule:
     def n_intervals(self) -> int:
         return self.betas.size
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
     def midpoints(self) -> np.ndarray:
         return 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
 

@@ -2,7 +2,8 @@
 
 Stated tolerances are pinned here; runtime ceilings are asserted too.
 Monte-Carlo criteria use the production batch sizes, so this module is the
-slow part of the suite (order 15 minutes total on one core).
+slow part of the suite (about 105 s in one process, measured on a shared
+2-core machine).
 """
 
 import time
@@ -25,10 +26,11 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def _run(target, initial, schedule, mode, n_particles, n_steps=2500, seed=20250101):
+def _run(target, initial, schedule, modes, n_particles, n_steps=2500, seed=20250101):
+    """One report per mode, from one stacked run: the modes share every draw."""
     cfg = SimConfig(target=target, schedule=schedule, initial=initial,
                     n_particles=n_particles, n_steps=n_steps, seed=seed)
-    return run_bridge(cfg, [mode])[0]
+    return run_bridge(cfg, modes)
 
 
 def _scenario(name):
@@ -180,7 +182,7 @@ def test_criterion_4_linear_mean_theorem():
         initial = GaussianMixture.isotropic(w_in, rng.uniform(-2, 6, K_in), rng.uniform(0.3, 1.5, K_in))
         target = GaussianMixture.isotropic(w_tar, rng.uniform(-2, 3, K_tar), rng.uniform(0.1, 0.8, K_tar))
         sched = schedules[trial % 3]
-        rep = _run(target, initial, sched, "mf-linear", 8000, seed=404 + trial)
+        rep, = _run(target, initial, sched, ["mf-linear"], 8000, seed=404 + trial)
         lin = linear_guidance(initial.mean, target.mean)
         ts = np.arange(rep.mean_trace.shape[0]) / (rep.mean_trace.shape[0] - 1)
         deciles = np.linspace(0, rep.mean_trace.shape[0] - 1, 11).astype(int)
@@ -208,7 +210,8 @@ def test_criterion_5_table1_energies():
     lines = []
     for name in ("A", "B"):
         target, initial = _scenario(name)
-        reports = {m: _run(target, initial, sched, m, 8000) for m in ("ia-zero", "ia-target-mean", "mf-linear")}
+        modes = ("ia-zero", "ia-target-mean", "mf-linear")
+        reports = dict(zip(modes, _run(target, initial, sched, modes, 8000)))
         for m, want in ((k, v) for k, v in expect[name].items() if k in reports):
             got = reports[m].total
             ok &= abs(got - want) / want < 0.05
@@ -244,8 +247,7 @@ def test_criterion_6_dimension_sweep():
     mf_per_zone = {}
     for d in (1, 2, 4, 8):
         initial, target = dsweep_mixtures(d)
-        rep_mf = _run(target, initial, sched, "mf-linear", 4000)
-        rep_0 = _run(target, initial, sched, "ia-zero", 4000)
+        rep_mf, rep_0 = _run(target, initial, sched, ["mf-linear", "ia-zero"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         mf_per_zone[d] = rep_mf.total / d
         ok &= 0.19 <= saving <= 0.25
@@ -268,9 +270,7 @@ def test_criterion_7_component_and_correlation_sweeps():
     lines = []
     for K, want in expect_k.items():
         initial, target = ksweep_mixtures(K, d=4)
-        rep_mf = _run(target, initial, sched, "mf-linear", 4000)
-        rep_0 = _run(target, initial, sched, "ia-zero", 4000)
-        rep_m = _run(target, initial, sched, "ia-target-mean", 4000)
+        rep_mf, rep_0, rep_m = _run(target, initial, sched, ["mf-linear", "ia-zero", "ia-target-mean"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         ok &= abs(saving - want) < 0.02
         # zero target mean: the two constant-centre baselines coincide
@@ -280,8 +280,7 @@ def test_criterion_7_component_and_correlation_sweeps():
     for rho, want in expect_rho.items():
         target = GaussianMixture.spatial_ar1([0.6, 0.4], [0.0, 1.5], [0.2, 0.3], rho=rho, d=8)
         initial = GaussianMixture.spatial_ar1([0.6, 0.4], [1.5, 5.5], [0.5, 0.7], rho=rho, d=8)
-        rep_mf = _run(target, initial, sched, "mf-linear", 4000)
-        rep_0 = _run(target, initial, sched, "ia-zero", 4000)
+        rep_mf, rep_0 = _run(target, initial, sched, ["mf-linear", "ia-zero"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         ok &= abs(saving - want) < 0.02
         lines.append(f"rho={rho}: {saving * 100:.1f}%")

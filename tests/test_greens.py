@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from mfbridge.errors import CoefficientDomainError
 from mfbridge.greens import build_tables, forward_scalar, backward_scalar, linear_coeffs, shift_propagators
 from mfbridge.schedule import PwcSchedule, geometric_schedule, interval_of
 
@@ -108,6 +107,10 @@ def test_theta_plus_constant_protocol_endpoint():
     w = np.sqrt(beta)
     want = (beta / w) * nubar * (np.cosh(w) - 1.0) / np.sinh(w)
     assert float(tab.theta_plus_end[0]) == pytest.approx(want, rel=1e-14)
+    # interior times, down to the start where a difference of cosh values would cancel
+    ts = np.array([1e-4, 2e-4, 1e-3, 1e-2, 0.1, 0.5])
+    want = nubar * w * np.tanh(0.5 * w * ts)
+    assert np.max(np.abs(tab.sample(ts).theta_plus[:, 0] / want - 1.0)) < 1e-14
 
 
 def test_random_schedules_match_rk4(relerr):
@@ -196,11 +199,20 @@ def test_probe_precision_positive(paper_schedule):
     assert np.all(K > 0)
 
 
-def test_increasing_beta_guard():
-    # a_plus drops below the next interval's omega -> coth branch undefined
-    sched = PwcSchedule([0.0, 0.5, 1.0], [0.5, 400.0])
-    with pytest.raises(CoefficientDomainError):
-        forward_scalar(sched)
+def test_rising_beta_schedules_match_rk4(relerr):
+    # a_plus enters a stiff interval below its omega; the Moebius form takes any anchor
+    for bp, betas in (([0.0, 0.5, 1.0], [0.5, 400.0]),
+                      ([0.0, 0.13, 0.41, 0.55, 0.8, 1.0], [0.0, 18.97, 10.58, 3.68, 17.57])):
+        sched = PwcSchedule(bp, betas)
+        nu = np.linspace(2.8, 0.6, sched.n_intervals)[:, None]
+        tab = build_tables(sched, nu)
+        ts = np.linspace(0.015, 0.985, 23)
+        co = tab.sample(ts)
+        a_o = oracles.rk4_riccati_forward(sched, np.append(ts, 1.0))
+        assert relerr(co.a_plus, a_o[:-1]) < 1e-4
+        assert relerr(tab.a_plus_end, a_o[-1]) < 1e-4
+        thp = oracles.rk4_linear_forward(sched, _source_fn(sched, nu), ts)
+        assert np.max(np.abs(co.theta_plus - thp)) < 1e-4 * max(1.0, np.max(np.abs(thp)))
 
 
 def test_dense_sample_shapes(paper_schedule):
@@ -240,18 +252,9 @@ def test_mixed_zero_beta_schedules_match_rk4(intervals, d, seed, relerr):
     sched = PwcSchedule(bp, betas)
     nu = np.random.default_rng(seed).uniform(-2.0, 3.0, size=(sched.n_intervals, d))
     ts = np.linspace(0.015, 0.985, 23)
-    # the coth branch of interval i is defined iff a_plus enters it above omega_i
-    inner = bp[1:-1]
-    a_fwd = oracles.rk4_riccati_forward(sched, np.concatenate([inner, ts, [1.0]]))
-    hyp = betas[1:] > 0
-    ratio = a_fwd[:inner.size][hyp] / np.sqrt(betas[1:][hyp])
-    assume(np.all(np.abs(ratio - 1.0) > 1e-3))   # too close to the edge for the RK4 reference to decide
-    if np.any(ratio < 1.0):
-        with pytest.raises(CoefficientDomainError):
-            build_tables(sched, nu)
-        return
+    a_fwd = oracles.rk4_riccati_forward(sched, np.append(ts, 1.0))
     co = build_tables(sched, nu).sample(ts)
-    a_plus_o, a_plus_end_o = a_fwd[inner.size:-1], a_fwd[-1]
+    a_plus_o, a_plus_end_o = a_fwd[:-1], a_fwd[-1]
     assert relerr(co.a_plus, a_plus_o) < 1e-4
     a_o, b_o, c_o = oracles.rk4_riccati_backward(sched, ts)
     assert relerr(co.a, a_o) < 1e-4
