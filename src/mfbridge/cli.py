@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError
 from .greens import build_tables
 from .guidance import fixed_point_guidance, linear_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
-from .presets import MODE_NAMES, ExperimentConfig, load_config, preset, validate_config
+from .presets import ExperimentConfig, load_config, preset, validate_config
 from .score import ScoreContext, _marginal_components, marginal_density
 from .simulate import SimConfig, run_bridge, tables_for_mode
 
@@ -129,8 +129,8 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
     t_wall = time.perf_counter()
     sim_cfg = _sim_config(config, sweep_value, snapshot_times=snap_times)
-    tables = {m: tables_for_mode(sim_cfg, MODE_NAMES[m]) for m in config.modes}
-    runs = run_bridge(sim_cfg, [MODE_NAMES[m] for m in config.modes], list(tables.values()))
+    tables = {m: tables_for_mode(sim_cfg, m) for m in config.modes}
+    runs = run_bridge(sim_cfg, config.modes, list(tables.values()))
     reports = dict(zip(config.modes, runs))
     if dump_coefficients:
         for m, tab in tables.items():
@@ -316,7 +316,7 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     sim_cfg = _sim_config(config)
     if sim_cfg.dim != 1:
         raise ConfigError("density emission is 1-d only")
-    ctxs = {m: ScoreContext(tables_for_mode(sim_cfg, MODE_NAMES[m]), sim_cfg.target, sim_cfg.initial)
+    ctxs = {m: ScoreContext(tables_for_mode(sim_cfg, m), sim_cfg.target, sim_cfg.initial)
             for m in config.modes}
     # one grid for every curve, wide enough for each curve's every component
     lo, hi = np.inf, -np.inf
@@ -343,13 +343,13 @@ def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, 
     mid_steps = np.clip(np.round(mids * config.n_steps).astype(int), 0, config.n_steps)
 
     def mean_map(nu_values):
-        rep, = run_bridge(sim_cfg, ["mf-linear"], [build_tables(sched, nu_values, config.n_steps)])
+        rep, = run_bridge(sim_cfg, ["mf"], [build_tables(sched, nu_values, config.n_steps)])
         return rep.mean_trace[mid_steps]
 
     nu0 = np.repeat(sim_cfg.target.mean[None, :], sched.n_intervals, axis=0)
     result = fixed_point_guidance(sched, mean_map, nu0, tol=tol, max_iter=max_iter)
 
-    lin_mid = np.atleast_2d(linear_guidance(sim_cfg.initial_mean, sim_cfg.target.mean)(mids))
+    lin_mid = linear_guidance(sim_cfg.initial_mean, sim_cfg.target.mean, mids)
     resid = result.values - lin_mid
 
     _write_csv(out / "guidance_check.csv", ["iteration", "max_update"],
@@ -383,6 +383,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _floats(flag: str, text: str) -> list:
+    """A comma list of numbers given on the command line."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _load(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
@@ -394,16 +402,13 @@ def _load(args) -> ExperimentConfig:
         raise ConfigError("need --preset NAME or --config PATH")
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if getattr(args, "modes", None):
+    if getattr(args, "modes", None) is not None:
         cfg.modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        unknown = [m for m in cfg.modes if m not in MODE_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown modes {unknown}; choose from {sorted(MODE_NAMES)}")
-    if getattr(args, "values", None):
-        cfg.sweep_values = [float(v) for v in args.values.split(",") if v.strip()]
-    if getattr(args, "particles", None):
+    if getattr(args, "values", None) is not None:
+        cfg.sweep_values = _floats("--values", args.values)
+    if getattr(args, "particles", None) is not None:
         cfg.n_particles = args.particles
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         cfg.n_steps = args.steps
     return cfg
 
@@ -481,7 +486,7 @@ def main(argv=None) -> int:
                 if v is not None:
                     setattr(cfg.lqg, field_name, v)
             if args.m_bar_grid:
-                cfg.lqg.m_bar_grid = [float(v) for v in args.m_bar_grid.split(",")]
+                cfg.lqg.m_bar_grid = _floats("--m-bar-grid", args.m_bar_grid)
             run_experiment(cfg, out)
             print(f"wrote {out}/lqg.csv")
             return 0
@@ -506,7 +511,10 @@ def main(argv=None) -> int:
             errors = validate_config(cfg)
             if errors:
                 raise ConfigError("; ".join(errors))
-            times = [float(v) for v in args.times.split(",") if v.strip()]
+            times = _floats("--times", args.times)
+            outside = [t for t in times if not 0.0 <= t <= 1.0]
+            if outside:
+                raise ConfigError(f"--times must lie in [0, 1], got {outside}")
             out.mkdir(parents=True, exist_ok=True)
             _run_density(cfg, times, out)
             print(f"wrote {out}/density.csv")

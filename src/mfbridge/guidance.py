@@ -1,9 +1,9 @@
-"""Guidance trajectories: the centre of the quadratic steering potential.
+"""Guidance: the centre of the quadratic steering potential, one d-vector per schedule interval.
 
-Two closed forms (the linear interpolant between endpoint means, constants
-for the independent-agent baselines), sampled at the interval midpoints for
-the coefficient tables, and a Picard fixed-point iteration on per-interval
-values, retained for validation only.
+A mode's guidance is an (M, d) array of per-interval values.  The linear
+interpolant between endpoint means is the mean-field guidance, sampled at
+the interval midpoints for the coefficient tables; a Picard fixed-point
+iteration on per-interval values is retained for validation only.
 """
 
 from __future__ import annotations
@@ -14,51 +14,19 @@ import numpy as np
 
 from .schedule import PwcSchedule
 
-__all__ = [
-    "GuidanceTrajectory",
-    "linear_guidance",
-    "constant_guidance",
-    "fixed_point_guidance",
-    "FixedPointResult",
-]
-
-@dataclass
-class GuidanceTrajectory:
-    """Dense evaluator nu(t) -> (d,) plus its per-interval PWC representation."""
-
-    kind: str  # "linear" | "constant"
-    m_in: np.ndarray | None = None
-    m_tar: np.ndarray | None = None
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == "linear":
-            out = np.outer(1.0 - t_arr, self.m_in) + np.outer(t_arr, self.m_tar)
-        elif self.kind == "constant":
-            out = np.broadcast_to(self.m_tar, (t_arr.size, self.m_tar.size)).copy()
-        else:
-            raise ValueError(f"unknown guidance kind {self.kind!r}")
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def pwc_values(self, schedule: PwcSchedule) -> np.ndarray:
-        """Per-interval representative values, sampled at interval midpoints."""
-        return np.atleast_2d(self(schedule.midpoints()))
+__all__ = ["linear_guidance", "fixed_point_guidance", "FixedPointResult"]
 
 
-def linear_guidance(m_in, m_tar) -> GuidanceTrajectory:
-    """Exact interpolant nu(t) = (1-t) m_in + t m_tar between endpoint means."""
+def linear_guidance(m_in, m_tar, t) -> np.ndarray:
+    """The exact interpolant (1-t) m_in + t m_tar between endpoint means, (n, d) at the times t."""
     m_in = np.atleast_1d(np.asarray(m_in, dtype=float))
     m_tar = np.atleast_1d(np.asarray(m_tar, dtype=float))
     if m_in.shape != m_tar.shape:
         raise ValueError(f"endpoint mean shapes differ: {m_in.shape} vs {m_tar.shape}")
     if not (np.all(np.isfinite(m_in)) and np.all(np.isfinite(m_tar))):
         raise ValueError("non-finite endpoint mean")
-    return GuidanceTrajectory(kind="linear", m_in=m_in, m_tar=m_tar)
-
-
-def constant_guidance(value) -> GuidanceTrajectory:
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    return GuidanceTrajectory(kind="constant", m_tar=value)
+    t = np.asarray(t, dtype=float)
+    return np.outer(1.0 - t, m_in) + np.outer(t, m_tar)
 
 
 @dataclass

@@ -17,21 +17,14 @@ from .errors import ConfigError
 from .greens import build_tables
 from .schedule import geometric_schedule
 from .score import GaussianMixture
+from .simulate import GUIDANCE_MODES
 
 __all__ = ["MixtureSpec", "LqgSpec", "ExperimentConfig", "PRESETS", "preset",
            "parse_config_text", "parse_config_json", "load_config", "validate_config",
-           "dsweep_mixtures", "ksweep_mixtures", "MODE_NAMES"]
+           "dsweep_mixtures", "ksweep_mixtures"]
 
 # sweep axis -> the short name of its value in point tags and directories
 SWEEP_TAGS = {"dimension": "d", "components": "K", "ar-rho": "rho"}
-
-# short mode names used in configs/CLI -> simulator guidance modes
-MODE_NAMES = {
-    "mf": "mf-linear",
-    "ia0": "ia-zero",
-    "iam": "ia-target-mean",
-    "cl": "closed-loop",
-}
 
 
 @dataclass
@@ -385,9 +378,13 @@ def validate_config(config: ExperimentConfig) -> list:
         errors.append(f"unknown sweep axis {config.sweep_axis!r}")
     if config.sweep_axis != "none" and not config.sweep_values:
         errors.append("sweep axis set but sweep.values empty")
+    if not config.modes:
+        errors.append("no guidance modes")
     for m in config.modes:
-        if m not in MODE_NAMES:
-            errors.append(f"unknown mode {m!r}; available: {sorted(MODE_NAMES)}")
+        if m not in GUIDANCE_MODES:
+            errors.append(f"unknown mode {m!r}; available: {list(GUIDANCE_MODES)}")
+    if len(set(config.modes)) < len(config.modes):
+        errors.append(f"guidance modes repeat: {config.modes}")
     if config.lqg is not None:
         if config.lqg.kappa < 0 or config.lqg.q < 0:
             errors.append("lqg: kappa and q must be nonnegative")

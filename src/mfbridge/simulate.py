@@ -27,14 +27,17 @@ import numpy as np
 
 from .errors import DivergedError
 from .greens import CoeffTables, build_tables, DEFAULT_N_STEPS
-from .guidance import GuidanceTrajectory, constant_guidance, linear_guidance
+from .guidance import linear_guidance
 from .schedule import PwcSchedule
 from .score import GaussianMixture, KernelCoeffs, ScoreContext
 
 __all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES",
-           "guidance_for_mode", "tables_for_mode", "sample_initial", "step", "run_bridge"]
+           "tables_for_mode", "sample_initial", "step", "run_bridge"]
 
-GUIDANCE_MODES = ("mf-linear", "ia-zero", "ia-target-mean", "closed-loop")
+# mf: the linear mean-field interpolant; ia0, iam: independent agents
+# steering to zero / to the target mean; cl: closed loop, re-centred at the
+# empirical ensemble mean
+GUIDANCE_MODES = ("mf", "ia0", "iam", "cl")
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -71,19 +74,16 @@ class SimConfig:
         return self.initial.mean if self.initial is not None else np.zeros(self.dim)
 
 
-def guidance_for_mode(config: SimConfig, mode: str) -> GuidanceTrajectory:
-    """Analytic guidance of a mode in ``GUIDANCE_MODES``; closed-loop tables use the linear one."""
-    if mode == "ia-zero":
-        return constant_guidance(np.zeros(config.dim))
-    if mode == "ia-target-mean":
-        return constant_guidance(config.target.mean)
-    return linear_guidance(config.initial_mean, config.target.mean)
-
-
 def tables_for_mode(config: SimConfig, mode: str) -> CoeffTables:
-    """Coefficient tables of a mode's guidance on the run's step grid."""
-    guidance = guidance_for_mode(config, mode)
-    return build_tables(config.schedule, guidance.pwc_values(config.schedule), config.n_steps)
+    """Coefficient tables of a mode's per-interval guidance on the run's step grid; cl's are mf's."""
+    sched = config.schedule
+    if mode == "ia0":
+        values = np.zeros((sched.n_intervals, config.dim))
+    elif mode == "iam":
+        values = np.tile(config.target.mean, (sched.n_intervals, 1))
+    else:
+        values = linear_guidance(config.initial_mean, config.target.mean, sched.midpoints())
+    return build_tables(sched, values, config.n_steps)
 
 
 @dataclass
@@ -231,7 +231,7 @@ def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
     return out
 
 
-def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf-linear",),
+def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
                tables: Sequence[CoeffTables] | None = None) -> list[EnergyReport]:
     """Bridge simulation of the guidance ``modes`` on one problem, in one stacked pass.
 
@@ -257,7 +257,7 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf-linear",),
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
     state = sample_initial(config, _stream(config.seed, 0), M)
-    closed_loop = np.array([m == "closed-loop" for m in modes])
+    closed_loop = np.array([m == "cl" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(config.n_saved_paths, B)
 

@@ -137,8 +137,8 @@ def test_criterion_3_score_master_check():
     for name in ("A", "B"):
         target, initial = _scenario(name)
         sched = geometric_schedule(12.0, 0.65, 8)
-        g = linear_guidance([float(initial.mean[0])], [float(target.mean[0])])
-        tab = build_tables(sched, g.pwc_values(sched))
+        nu = linear_guidance([float(initial.mean[0])], [float(target.mean[0])], sched.midpoints())
+        tab = build_tables(sched, nu)
         ctx = ScoreContext(tab, target)
         for _ in range(100):
             t = rng.uniform(0.02, 0.98)
@@ -182,11 +182,10 @@ def test_criterion_4_linear_mean_theorem():
         initial = GaussianMixture.isotropic(w_in, rng.uniform(-2, 6, K_in), rng.uniform(0.3, 1.5, K_in))
         target = GaussianMixture.isotropic(w_tar, rng.uniform(-2, 3, K_tar), rng.uniform(0.1, 0.8, K_tar))
         sched = schedules[trial % 3]
-        rep, = _run(target, initial, sched, ["mf-linear"], 8000, seed=404 + trial)
-        lin = linear_guidance(initial.mean, target.mean)
+        rep, = _run(target, initial, sched, ["mf"], 8000, seed=404 + trial)
         ts = np.arange(rep.mean_trace.shape[0]) / (rep.mean_trace.shape[0] - 1)
         deciles = np.linspace(0, rep.mean_trace.shape[0] - 1, 11).astype(int)
-        dev = np.abs(rep.mean_trace[deciles, 0] - lin(ts[deciles])[:, 0])
+        dev = np.abs(rep.mean_trace[deciles, 0] - linear_guidance(initial.mean, target.mean, ts[deciles])[:, 0])
         tol = 3 * rep.std_trace[deciles, 0] / np.sqrt(8000) + 0.01
         ok &= bool(np.all(dev < tol))
         details.append(f"max dev {np.max(dev):.4f}")
@@ -199,18 +198,18 @@ def test_criterion_5_table1_energies():
     t0 = time.perf_counter()
     sched = geometric_schedule(12.0, 0.65, 8)
     expect = {
-        "A": {"ia-zero": 31.30, "ia-target-mean": 29.68, "mf-linear": 27.67,
-              "per_mode": {"ia-zero": (13.89, 56.92), "ia-target-mean": (13.43, 53.59), "mf-linear": (14.72, 46.73)},
+        "A": {"ia0": 31.30, "iam": 29.68, "mf": 27.67,
+              "per_mode": {"ia0": (13.89, 56.92), "iam": (13.43, 53.59), "mf": (14.72, 46.73)},
               "saving": 0.116},
-        "B": {"ia-zero": 17.15, "ia-target-mean": 15.47, "mf-linear": 13.27,
-              "per_mode": {"ia-zero": (3.38, 37.40), "ia-target-mean": (2.63, 34.36), "mf-linear": (3.21, 28.07)},
+        "B": {"ia0": 17.15, "iam": 15.47, "mf": 13.27,
+              "per_mode": {"ia0": (3.38, 37.40), "iam": (2.63, 34.36), "mf": (3.21, 28.07)},
               "saving": 0.226},
     }
     ok = True
     lines = []
     for name in ("A", "B"):
         target, initial = _scenario(name)
-        modes = ("ia-zero", "ia-target-mean", "mf-linear")
+        modes = ("ia0", "iam", "mf")
         reports = dict(zip(modes, _run(target, initial, sched, modes, 8000)))
         for m, want in ((k, v) for k, v in expect[name].items() if k in reports):
             got = reports[m].total
@@ -219,7 +218,7 @@ def test_criterion_5_table1_energies():
             occ_g = reports[m].component_energy[0][0]
             unocc_g = reports[m].component_energy[1][0]
             ok &= abs(occ_g - occ_w) / occ_w < 0.08 and abs(unocc_g - unocc_w) / unocc_w < 0.08
-        e_mf, e_iam, e_ia0 = (reports["mf-linear"], reports["ia-target-mean"], reports["ia-zero"])
+        e_mf, e_iam, e_ia0 = (reports["mf"], reports["iam"], reports["ia0"])
         # strict ordering with 3-stderr separation; the runs share identical
         # noise and initial draws (same seed), so the honest uncertainty is
         # the stderr of the paired per-particle energy difference
@@ -247,7 +246,7 @@ def test_criterion_6_dimension_sweep():
     mf_per_zone = {}
     for d in (1, 2, 4, 8):
         initial, target = dsweep_mixtures(d)
-        rep_mf, rep_0 = _run(target, initial, sched, ["mf-linear", "ia-zero"], 4000)
+        rep_mf, rep_0 = _run(target, initial, sched, ["mf", "ia0"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         mf_per_zone[d] = rep_mf.total / d
         ok &= 0.19 <= saving <= 0.25
@@ -270,7 +269,7 @@ def test_criterion_7_component_and_correlation_sweeps():
     lines = []
     for K, want in expect_k.items():
         initial, target = ksweep_mixtures(K, d=4)
-        rep_mf, rep_0, rep_m = _run(target, initial, sched, ["mf-linear", "ia-zero", "ia-target-mean"], 4000)
+        rep_mf, rep_0, rep_m = _run(target, initial, sched, ["mf", "ia0", "iam"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         ok &= abs(saving - want) < 0.02
         # zero target mean: the two constant-centre baselines coincide
@@ -280,7 +279,7 @@ def test_criterion_7_component_and_correlation_sweeps():
     for rho, want in expect_rho.items():
         target = GaussianMixture.spatial_ar1([0.6, 0.4], [0.0, 1.5], [0.2, 0.3], rho=rho, d=8)
         initial = GaussianMixture.spatial_ar1([0.6, 0.4], [1.5, 5.5], [0.5, 0.7], rho=rho, d=8)
-        rep_mf, rep_0 = _run(target, initial, sched, ["mf-linear", "ia-zero"], 4000)
+        rep_mf, rep_0 = _run(target, initial, sched, ["mf", "ia0"], 4000)
         saving = 1 - rep_mf.total / rep_0.total
         ok &= abs(saving - want) < 0.02
         lines.append(f"rho={rho}: {saving * 100:.1f}%")
@@ -305,12 +304,11 @@ def test_criterion_8_fixed_point_consistency():
         def mean_map(nu_values):
             cfg = SimConfig(target=target, schedule=sched, initial=initial,
                             n_particles=8000, n_steps=2500, seed=808)
-            return run_bridge(cfg, ["mf-linear"], [build_tables(sched, nu_values, 2500)])[0].mean_trace[mid_steps]
+            return run_bridge(cfg, ["mf"], [build_tables(sched, nu_values, 2500)])[0].mean_trace[mid_steps]
 
         nu0 = np.repeat(target.mean[None, :], 8, axis=0)
         res = fixed_point_guidance(sched, mean_map, nu0, tol=2e-4, max_iter=15)
-        lin = linear_guidance(initial.mean, target.mean)
-        resid = float(np.max(np.abs(res.values - np.atleast_2d(lin(mids)))))
+        resid = float(np.max(np.abs(res.values - linear_guidance(initial.mean, target.mean, mids))))
         ok &= res.converged and res.n_iterations <= 15 and resid <= bounds[name]
         lines.append(f"{name}: {res.n_iterations} iters, resid {resid:.4f} (limit {bounds[name]:.4f})")
     elapsed = time.perf_counter() - t0
@@ -330,8 +328,7 @@ def test_criterion_9_trivial_limits():
 
     # single-component target: exactly affine score
     sched = geometric_schedule(12.0, 0.65, 8)
-    g = linear_guidance([0.0], [1.2])
-    tab1 = build_tables(sched, g.pwc_values(sched))
+    tab1 = build_tables(sched, linear_guidance([0.0], [1.2], sched.midpoints()))
     ctx1 = ScoreContext(tab1, GaussianMixture.isotropic([1.0], [1.2], [0.4]))
     worst_r2 = 1.0
     xs = np.linspace(-3, 3, 33)
@@ -344,12 +341,12 @@ def test_criterion_9_trivial_limits():
 
     # translation equivariance
     target, initial = _scenario("A")
-    gA = linear_guidance([float(initial.mean[0])], [float(target.mean[0])])
-    tabA = build_tables(sched, gA.pwc_values(sched))
+    nuA = linear_guidance([float(initial.mean[0])], [float(target.mean[0])], sched.midpoints())
+    tabA = build_tables(sched, nuA)
     ctxA = ScoreContext(tabA, target)
     c = 0.9
-    g2 = linear_guidance([float(initial.mean[0]) + c], [float(target.mean[0]) + c])
-    tab2 = build_tables(sched, g2.pwc_values(sched))
+    nu2 = linear_guidance([float(initial.mean[0]) + c], [float(target.mean[0]) + c], sched.midpoints())
+    tab2 = build_tables(sched, nu2)
     tgt2 = GaussianMixture.isotropic([0.6, 0.4], [c, 1.5 + c], [0.2, 0.3])
     ctx2 = ScoreContext(tab2, tgt2)
     worst_tr = max(abs(score_at(ctxA, t, [x])[0] - shifted_score(ctx2, t, [x + c], [c])[0])

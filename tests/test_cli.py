@@ -160,6 +160,80 @@ def test_cli_lqg_csv(tmp_path):
     assert (out / "lqg_mbar_sweep.csv").exists()
 
 
+def test_mode_names_round_trip(tmp_path):
+    # the names given are the summary's mode keys and each report's guidance_mode
+    names = ["mf", "ia0", "iam", "cl"]
+    out = tmp_path / "modes"
+    rc = main(["bridge", "--preset", "scenario-b", "--particles", "40", "--steps", "40",
+               "--modes", ",".join(names), "--out", str(out)])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert {m: rep["guidance_mode"] for m, rep in summary["modes"].items()} == {m: m for m in names}
+
+
+def _mode_source(tmp_path, source, modes):
+    if source == "flag":
+        return ["--preset", "scenario-b", "--modes", modes]
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"target.weights = 1\ntarget.means = 0.5\ntarget.sigmas = 0.3\nmodes = {modes}\n")
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_mode_is_named(tmp_path, capsys, source):
+    out = tmp_path / "run"
+    rc = main(["bridge", *_mode_source(tmp_path, source, "mf,closed-loop"),
+               "--particles", "20", "--steps", "20", "--out", str(out)])
+    assert rc == 1
+    assert "unknown mode 'closed-loop'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("modes", [",", ""])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_mode_list_fails_before_running(tmp_path, capsys, source, modes):
+    args = _mode_source(tmp_path, source, modes)
+    assert main(["validate", *args]) == 1
+    assert "no guidance modes" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(["bridge", *args, "--particles", "20", "--steps", "20", "--out", str(out)]) == 1
+    assert "no guidance modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repeated_mode_fails_before_running(tmp_path, capsys, source):
+    out = tmp_path / "run"
+    rc = main(["bridge", *_mode_source(tmp_path, source, "mf,ia0,mf"),
+               "--particles", "20", "--steps", "20", "--out", str(out)])
+    assert rc == 1
+    assert "guidance modes repeat: ['mf', 'ia0', 'mf']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--particles", "--steps"])
+def test_zero_size_override_is_rejected(tmp_path, capsys, flag):
+    assert main(["validate", "--preset", "scenario-b", flag, "0"]) == 1
+    assert "sim.particles >= 1 and sim.steps >= 10" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(["bridge", "--preset", "scenario-b", "--modes", "mf", flag, "0", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["density", "--scenario", "B", "--times", "1.5,-0.2"], "--times must lie in [0, 1], got [1.5, -0.2]"),
+    (["density", "--scenario", "B", "--times", "0.5,late"], "--times: could not convert string to float: 'late'"),
+    (["sweep", "--preset", "d-sweep", "--values", "2,x"], "--values: could not convert"),
+    (["sweep", "--preset", "d-sweep", "--values", "", "--particles", "20", "--steps", "20"], "sweep.values empty"),
+    (["lqg", "--m-bar-grid", "0,x"], "--m-bar-grid: could not convert"),
+], ids=["times-range", "times-text", "values-text", "values-empty", "m-bar-grid-text"])
+def test_bad_number_lists_are_config_errors(tmp_path, capsys, args, message):
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bridge_outputs(tmp_path):
     out = tmp_path / "bridge"
     rc = main(["bridge", "--preset", "scenario-b", "--particles", "300",
@@ -224,13 +298,12 @@ def test_density_grid_holds_the_whole_mass(tmp_path, name):
 @pytest.mark.parametrize("name, value", [("scenario-b", None), ("d-sweep", 2.0)])
 def test_trajectories_csv_rows_match_the_report(tmp_path, name, value):
     import mfbridge.cli as climod
-    from mfbridge.presets import MODE_NAMES
     from mfbridge.simulate import run_bridge
 
     cfg = preset(name)
     cfg.modes, cfg.n_particles, cfg.n_steps = ["mf", "ia0"], 20, 1000
     climod._run_point(cfg, value, tmp_path)
-    reports = run_bridge(climod._sim_config(cfg, value), [MODE_NAMES[m] for m in cfg.modes])
+    reports = run_bridge(climod._sim_config(cfg, value), cfg.modes)
     raw = (tmp_path / "trajectories.csv").read_bytes()
     with open(tmp_path / "trajectories.csv", newline="") as fh:
         rows = list(csv.reader(fh))

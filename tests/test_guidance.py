@@ -1,28 +1,19 @@
 import numpy as np
 import pytest
 
-from mfbridge.guidance import (
-    constant_guidance,
-    fixed_point_guidance,
-    linear_guidance,
-)
+from mfbridge.guidance import fixed_point_guidance, linear_guidance
 from mfbridge.lqg import sinh_ratio
 
 
 
 def test_linear_scenario_values():
-    g_a = linear_guidance([2.8], [0.6])
-    assert g_a(0.0)[0] == pytest.approx(2.8)
-    assert g_a(0.5)[0] == pytest.approx(1.7)
-    assert g_a(1.0)[0] == pytest.approx(0.6)
-    g_b = linear_guidance([2.3], [0.6])
+    assert linear_guidance([2.8], [0.6], [0.0, 0.5, 1.0])[:, 0] == pytest.approx([2.8, 1.7, 0.6])
     ts = np.linspace(0, 1, 11)
-    assert np.allclose(g_b(ts)[:, 0], 2.3 - 1.7 * ts)
+    assert np.allclose(linear_guidance([2.3], [0.6], ts)[:, 0], 2.3 - 1.7 * ts)
 
 
 def test_linear_constant_when_endpoints_equal():
-    g = linear_guidance([0.9, -0.2], [0.9, -0.2])
-    assert np.allclose(g(0.3), [0.9, -0.2])
+    assert np.allclose(linear_guidance([0.9, -0.2], [0.9, -0.2], 0.3), [[0.9, -0.2]])
 
 
 def test_sinh_ratio_values():
@@ -38,16 +29,10 @@ def test_sinh_ratio_large_kappa_stable():
 
 
 def test_pwc_values_midpoint_sampling(paper_schedule):
-    g = linear_guidance([2.8], [0.6])
-    vals = g.pwc_values(paper_schedule)
     mids = paper_schedule.midpoints()
+    vals = linear_guidance([2.8], [0.6], mids)
     assert vals.shape == (8, 1)
     assert np.allclose(vals[:, 0], 2.8 - 2.2 * mids)
-
-
-def test_constant_and_pwc_eval(paper_schedule):
-    c = constant_guidance([1.5, -0.5])
-    assert np.allclose(c(0.77), [1.5, -0.5])
 
 
 def test_fixed_point_converges_on_contraction(paper_schedule):

@@ -102,8 +102,7 @@ def test_psi_log_quadratic_for_single_gaussian(paper_schedule):
     from mfbridge.guidance import linear_guidance
     from mfbridge.score import GaussianMixture
 
-    g = linear_guidance([0.0], [1.0])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    tab = build_tables(paper_schedule, linear_guidance([0.0], [1.0], paper_schedule.midpoints()))
     tgt = GaussianMixture.isotropic([1.0], [1.0], [0.4])
     xs = np.linspace(-2.0, 3.0, 9)
     vals = np.array([oracles.psi_quadrature(tab, tgt, 0.55, x) for x in xs])

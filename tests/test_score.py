@@ -26,15 +26,15 @@ def free_tables():
 
 @pytest.fixture(scope="module")
 def ctx_a(paper_schedule, dr_target, initial_a):
-    g = linear_guidance([float(initial_a.mean[0])], [float(dr_target.mean[0])])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    nu = linear_guidance([float(initial_a.mean[0])], [float(dr_target.mean[0])], paper_schedule.midpoints())
+    tab = build_tables(paper_schedule, nu)
     return ScoreContext(tab, dr_target)
 
 
 @pytest.fixture(scope="module")
 def ctx_b(paper_schedule, dr_target, initial_b):
-    g = linear_guidance([float(initial_b.mean[0])], [float(dr_target.mean[0])])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    nu = linear_guidance([float(initial_b.mean[0])], [float(dr_target.mean[0])], paper_schedule.midpoints())
+    tab = build_tables(paper_schedule, nu)
     return ScoreContext(tab, dr_target, initial=initial_b)
 
 
@@ -169,8 +169,7 @@ def test_score_zero_for_matched_heat_kernel(free_tables):
 
 
 def test_score_affine_when_single_component(paper_schedule):
-    g = linear_guidance([0.0], [1.2])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    tab = build_tables(paper_schedule, linear_guidance([0.0], [1.2], paper_schedule.midpoints()))
     ctx = ScoreContext(tab, GaussianMixture.isotropic([1.0], [1.2], [0.4]))
     xs = np.linspace(-3, 3, 41)
     for t in (0.1, 0.5, 0.9):
@@ -210,12 +209,10 @@ def test_cross_validation_identity(ctx_a):
 
 
 def test_translation_equivariance(paper_schedule, dr_target):
-    g = linear_guidance([3.0], [0.6])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    tab = build_tables(paper_schedule, linear_guidance([3.0], [0.6], paper_schedule.midpoints()))
     ctx = ScoreContext(tab, dr_target)
     c = 1.3
-    g2 = linear_guidance([3.0 + c], [0.6 + c])
-    tab2 = build_tables(paper_schedule, g2.pwc_values(paper_schedule))
+    tab2 = build_tables(paper_schedule, linear_guidance([3.0 + c], [0.6 + c], paper_schedule.midpoints()))
     tgt2 = GaussianMixture.isotropic([0.6, 0.4], [0.0 + c, 1.5 + c], [0.2, 0.3])
     ctx2 = ScoreContext(tab2, tgt2)
     for t in (0.07, 0.3, 0.55, 0.92):
@@ -289,8 +286,7 @@ def test_marginal_mixture_start_endpoints(ctx_b, dr_target, initial_b):
 
 def test_marginal_mixture_start_reduces_to_delta(paper_schedule, dr_target):
     # one initial component with negligible spread at the origin
-    g = linear_guidance([0.0], [0.6])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    tab = build_tables(paper_schedule, linear_guidance([0.0], [0.6], paper_schedule.midpoints()))
     ctx_delta = ScoreContext(tab, dr_target)
     tiny = GaussianMixture.isotropic([1.0], [0.0], [1e-8])
     ctx_mix = ScoreContext(tab, dr_target, initial=tiny)
@@ -323,8 +319,8 @@ def test_marginal_density_snapshots_wide_scenario(paper_schedule, dr_target, ini
     # density snapshots along the bridge for the heavily-overlapping scenario
     from mfbridge.simulate import SimConfig, run_bridge
 
-    g = linear_guidance([float(initial_a.mean[0])], [float(dr_target.mean[0])])
-    tab = build_tables(paper_schedule, g.pwc_values(paper_schedule))
+    nu = linear_guidance([float(initial_a.mean[0])], [float(dr_target.mean[0])], paper_schedule.midpoints())
+    tab = build_tables(paper_schedule, nu)
     ctx = ScoreContext(tab, dr_target, initial=initial_a)
     times = (0.1, 0.3, 0.5, 0.7)
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_a,

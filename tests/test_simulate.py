@@ -8,8 +8,7 @@ import mfbridge.simulate as simulate
 from mfbridge.errors import ProbeError
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
-from mfbridge.simulate import (GUIDANCE_MODES, SimConfig, guidance_for_mode, run_bridge, sample_initial,
-                               tables_for_mode, _stream)
+from mfbridge.simulate import GUIDANCE_MODES, SimConfig, run_bridge, sample_initial, tables_for_mode, _stream
 
 
 def small_config(**kw):
@@ -30,12 +29,16 @@ def test_config_validation():
 
 
 def test_guidance_modes_resolve():
-    cfg = small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]))
-    g = guidance_for_mode(cfg, "mf-linear")
-    assert np.allclose(g(0.0), cfg.initial.mean)
-    assert np.allclose(g(1.0), cfg.target.mean)
-    assert np.allclose(guidance_for_mode(cfg, "ia-zero")(0.5), 0.0)
-    assert np.allclose(guidance_for_mode(cfg, "ia-target-mean")(0.5), cfg.target.mean)
+    # each mode's tables hold one guidance value per interval: the linear
+    # interpolant at the midpoints for mf and cl, constants for ia0 and iam
+    target = GaussianMixture.isotropic([0.6, 0.4], [[0.0, 0.3], [1.5, -0.4]], [0.2, 0.3])
+    initial = GaussianMixture.isotropic([0.6, 0.4], [[1.5, 2.0], [5.5, 4.0]], [0.5, 0.7])
+    cfg = small_config(target=target, initial=initial)
+    mids = cfg.schedule.midpoints()[:, None]
+    linear = (1.0 - mids) * initial.mean + mids * target.mean
+    want = {"mf": linear, "cl": linear, "ia0": np.zeros((8, 2)), "iam": np.tile(target.mean, (8, 1))}
+    for mode in GUIDANCE_MODES:
+        np.testing.assert_allclose(tables_for_mode(cfg, mode).nu, want[mode], rtol=1e-15, atol=0, err_msg=mode)
 
 
 def test_sample_initial_delta():
@@ -142,7 +145,7 @@ def test_multi_zone_shapes_and_energy_split():
 def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
     cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b,
                     n_particles=4000, n_steps=800, seed=21)
-    rep, rep_cl = run_bridge(cfg, ["mf-linear", "closed-loop"])
+    rep, rep_cl = run_bridge(cfg, ["mf", "cl"])
     assert abs(rep_cl.total / rep.total - 1.0) < 0.02
     # terminal law matches the target mixture component-wise
     for rp in (rep, rep_cl):
@@ -163,15 +166,15 @@ def test_snapshots_recorded():
 
 def _zero_beta_delta_config():
     sched = PwcSchedule([0.0, 0.25, 0.5, 0.75, 1.0], [6.0, 0.0, 2.0, 0.0])
-    return small_config(schedule=sched), "mf-linear"
+    return small_config(schedule=sched), "mf"
 
 
 def _mixture_config():
-    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "mf-linear"
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "mf"
 
 
 def _closed_loop_config():
-    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "closed-loop"
+    return small_config(initial=GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])), "cl"
 
 
 @pytest.mark.parametrize("make_config", [_zero_beta_delta_config, _mixture_config, _closed_loop_config])
@@ -197,28 +200,28 @@ def _no_step(*args, **kwargs):
 
 def test_probe_failure_raises_before_first_step(monkeypatch):
     cfg = small_config()
-    tables = tables_for_mode(cfg, "mf-linear")
+    tables = tables_for_mode(cfg, "mf")
     tables.bwd.c_anchor[3] -= 1e3  # K < 0 on [0.375, 0.5) only
     monkeypatch.setattr(simulate, "step", _no_step)
     # first step time at or after 0.375 on the 250-step grid
     with pytest.raises(ProbeError, match=r"at t=0\.376"):
-        run_bridge(cfg, ["mf-linear"], [tables])
+        run_bridge(cfg, ["mf"], [tables])
 
 
 def test_run_bridge_rejects_bad_modes_before_first_step(monkeypatch):
     cfg = small_config()
     monkeypatch.setattr(simulate, "step", _no_step)
     with pytest.raises(ValueError, match="'nope'"):
-        run_bridge(cfg, ["mf-linear", "nope"])
+        run_bridge(cfg, ["mf", "nope"])
     with pytest.raises(ValueError, match="1 tables for 2 modes"):
-        run_bridge(cfg, ["mf-linear", "ia-zero"], [tables_for_mode(cfg, "mf-linear")])
+        run_bridge(cfg, ["mf", "ia0"], [tables_for_mode(cfg, "mf")])
 
 
 def test_run_bridge_defaults_to_one_mf_linear_report():
     cfg = small_config(n_particles=50, n_steps=50)
     rep, = run_bridge(cfg)
-    assert rep.guidance_mode == "mf-linear"
-    assert rep.total == run_bridge(cfg, ["mf-linear"])[0].total
+    assert rep.guidance_mode == "mf"
+    assert rep.total == run_bridge(cfg, ["mf"])[0].total
 
 
 def test_stacked_run_equals_single_runs():
