@@ -24,7 +24,7 @@ from .guidance import fixed_point_guidance, linear_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import ExperimentConfig, load_config, preset, validate_config
 from .score import ScoreContext, _marginal_components, marginal_density
-from .simulate import SimConfig, run_bridge, tables_for_mode
+from .simulate import SimConfig, mode_guidance, run_bridge, tables_for_modes
 
 __all__ = ["main", "run_experiment"]
 
@@ -84,40 +84,46 @@ def _sim_config(config: ExperimentConfig, sweep_value=None, **extra) -> SimConfi
     )
 
 
-def _affine_fit_rows(mode: str, report, sim_cfg: SimConfig, tables):
-    """Least-squares fit u ~ -S x - s per time slice, with R^2 (1-d runs)."""
+def _affine_fit_rows(modes: list, reports: list, sim_cfg: SimConfig, tables) -> list:
+    """Least-squares fit u ~ -S x - s per mode and time slice, with R^2 (1-d runs).
+
+    Every mode's drift at one slice is one stacked evaluation.
+    """
     ctx = ScoreContext(tables, sim_cfg.target, sim_cfg.initial)
-    times = sorted(report.snapshots)
+    times = sorted(reports[0].snapshots)
     table = ctx.coeff_table(times)
+    M = len(modes)
     rows = []
     for j, t_s in enumerate(times):
-        X = report.snapshots[t_s]
-        u = ctx.score_batch(table.row(j), X, report.shifts)[:, 0]
-        x = X[:, 0]
-        A = np.column_stack([-x, -np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(A, u, rcond=None)
-        resid = u - A @ coef
-        ss_tot = float(np.sum((u - u.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-        rows.append([mode, f"{t_s:.6f}", f"{coef[0]:.8g}", f"{coef[1]:.8g}", f"{r2:.8g}"])
-    return rows
+        X = np.concatenate([rep.snapshots[t_s] for rep in reports])
+        U = ctx.score_batch(table.row(j), X, reports[0].shifts)
+        for m, x, u in zip(modes, X.reshape(M, -1), U.reshape(M, -1)):
+            A = np.column_stack([-x, -np.ones_like(x)])
+            coef, *_ = np.linalg.lstsq(A, u, rcond=None)
+            resid = u - A @ coef
+            ss_tot = float(np.sum((u - u.mean()) ** 2))
+            r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+            rows.append([m, f"{t_s:.6f}", f"{coef[0]:.8g}", f"{coef[1]:.8g}", f"{r2:.8g}"])
+    return [row for i in range(M) for row in rows[i::M]]   # mode by mode
 
 
-def _dump_coefficients(path: Path, tables) -> None:
+def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
+    """One ``coefficients_{mode}.csv`` per mode, from one sample of the stacked tables."""
     n = tables.n_steps
     table = tables.sample(np.arange(1, n, max(1, n // 500)) / n)
     d = tables.dim
     header = (["t", "a_plus", "a_minus", "b_minus", "c_minus"]
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
               + [f"theta_y_{i}" for i in range(d)] + ["lambda_plus", "lambda_x", "lambda_y"])
-    rows = []
-    for j in range(table.t.size):
-        co = table.row(j)
-        rows.append([f"{co.t:.6f}"]
-                    + [f"{v:.10g}" for v in (co.a_plus, co.a, co.b, co.c)]
-                    + [f"{v:.10g}" for v in np.concatenate([co.theta_plus, co.theta_x, co.theta_y])]
-                    + [f"{v:.10g}" for v in (co.lam_plus, co.lam_x, co.lam_y)])
-    _write_csv(path, header, rows)
+    for i, m in enumerate(modes):
+        rows = []
+        for j in range(table.t.size):
+            co = table.row(j)
+            rows.append([f"{co.t:.6f}"]
+                        + [f"{v:.10g}" for v in (co.a_plus, co.a, co.b, co.c)]
+                        + [f"{v:.10g}" for v in np.concatenate([co.theta_plus[i], co.theta_x[i], co.theta_y[i]])]
+                        + [f"{v:.10g}" for v in (co.lam_plus, co.lam_x, co.lam_y)])
+        _write_csv(out_dir / f"coefficients_{m}.csv", header, rows)
 
 
 def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coefficients: bool = False) -> dict:
@@ -129,12 +135,11 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
     t_wall = time.perf_counter()
     sim_cfg = _sim_config(config, sweep_value, snapshot_times=snap_times)
-    tables = {m: tables_for_mode(sim_cfg, m) for m in config.modes}
-    runs = run_bridge(sim_cfg, config.modes, list(tables.values()))
+    tables = tables_for_modes(sim_cfg, config.modes)
+    runs = run_bridge(sim_cfg, config.modes, tables)
     reports = dict(zip(config.modes, runs))
     if dump_coefficients:
-        for m, tab in tables.items():
-            _dump_coefficients(out_dir / f"coefficients_{m}.csv", tab)
+        _dump_coefficients(out_dir, config.modes, tables)
     wall = time.perf_counter() - t_wall
 
     n = config.n_steps
@@ -183,10 +188,8 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                 fh.writelines(row_fmt.format(m, pid, t, *x) for t, x in zip(t_col, path))
 
     if affine:
-        rows = []
-        for m in config.modes:
-            rows.extend(_affine_fit_rows(m, reports[m], sim_cfg, tables[m]))
-        _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], rows)
+        _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"],
+                   _affine_fit_rows(config.modes, runs, sim_cfg, tables))
 
     if d > 1:
         rows = [[m, z, f"{reports[m].zone_energy[z]:.8g}"] for m in config.modes for z in range(d)]
@@ -316,7 +319,8 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     sim_cfg = _sim_config(config)
     if sim_cfg.dim != 1:
         raise ConfigError("density emission is 1-d only")
-    ctxs = {m: ScoreContext(tables_for_mode(sim_cfg, m), sim_cfg.target, sim_cfg.initial)
+    ctxs = {m: ScoreContext(build_tables(sim_cfg.schedule, mode_guidance(sim_cfg, m), sim_cfg.n_steps),
+                            sim_cfg.target, sim_cfg.initial)
             for m in config.modes}
     # one grid for every curve, wide enough for each curve's every component
     lo, hi = np.inf, -np.inf
@@ -343,7 +347,7 @@ def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, 
     mid_steps = np.clip(np.round(mids * config.n_steps).astype(int), 0, config.n_steps)
 
     def mean_map(nu_values):
-        rep, = run_bridge(sim_cfg, ["mf"], [build_tables(sched, nu_values, config.n_steps)])
+        rep, = run_bridge(sim_cfg, ["mf"], build_tables(sched, nu_values, config.n_steps))
         return rep.mean_trace[mid_steps]
 
     nu0 = np.repeat(sim_cfg.target.mean[None, :], sched.n_intervals, axis=0)

@@ -50,21 +50,22 @@ by a short recurrence over the gains of whole intervals.
 looks the interval of every time up once, evaluates each branch in a single
 pass (forward a_plus and its gains; backward a, b, c and the gains, shared
 by the guidance and the shift propagators) and returns one ``KernelCoeffs``
-of per-time arrays.  The closed forms are exact at any interior time, so
-interval-boundary continuity holds to rounding.
+of per-time arrays.  One table may stack several modes' guidance: the gains
+broadcast over the modes, so the schedule-only coefficients are built and
+sampled once for all of them.  The closed forms are exact at any interior
+time, so interval-boundary continuity holds to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .schedule import PwcSchedule, interval_of
 
 __all__ = ["ForwardScalar", "BackwardScalar", "LinearCoeffs", "CoeffTables", "KernelCoeffs",
-           "forward_scalar", "backward_scalar", "linear_coeffs", "shift_propagators",
-           "build_tables", "DEFAULT_N_STEPS"]
+           "forward_scalar", "backward_scalar", "linear_coeffs", "build_tables", "DEFAULT_N_STEPS"]
 
 BETA_ZERO = 1e-14
 DEFAULT_N_STEPS = 2500  # dense-grid resolution shared with the simulator
@@ -158,12 +159,8 @@ class BackwardScalar:
     b_anchor: np.ndarray
     c_anchor: np.ndarray
 
-    def abc(self, t, idx) -> tuple:
-        """(a, b, c) at the times t, which lie in the intervals idx (arrays, or one time and its interval)."""
-        return self._forms(t, idx)[:3]
-
     def _forms(self, t, idx) -> tuple:
-        """(a, b, c, R, gx, gyx, gy) at the times t in the intervals idx.
+        """(a, b, c, R, gx, gyx, gy) at the times t in the intervals idx (arrays, or one time and its interval).
 
         The last four are the gains of the linear pair on interval i:
         theta_x = R x_r + gx source_i and theta_y = y_r + gyx x_r + gy source_i,
@@ -189,7 +186,7 @@ def backward_scalar(schedule: PwcSchedule) -> BackwardScalar:
     bwd = BackwardScalar(schedule, omega, zero, np.full(M, np.nan), np.full(M, np.nan), np.full(M, np.nan))
     # walk right to left: the anchor of interval i is the left-end value of i+1
     for i in range(M - 2, -1, -1):
-        bwd.a_anchor[i], bwd.b_anchor[i], bwd.c_anchor[i] = bwd.abc(schedule.breakpoints[i + 1], i + 1)
+        bwd.a_anchor[i], bwd.b_anchor[i], bwd.c_anchor[i] = bwd._forms(schedule.breakpoints[i + 1], i + 1)[:3]
     return bwd
 
 
@@ -199,60 +196,46 @@ def backward_scalar(schedule: PwcSchedule) -> BackwardScalar:
 
 @dataclass
 class LinearCoeffs:
-    """theta_plus / theta_x / theta_y for a per-interval source vector.
+    """theta_plus / theta_x / theta_y for a per-interval source.
 
-    ``source[i]`` is nu_i for the guidance coefficients or the all-ones
-    vector for the shift propagators.  Each is a gain-weighted sum of its
-    interval anchor and the source; the gains depend on the schedule alone.
+    ``source[i]`` is nu_i for the guidance coefficients, (d,) or (n_modes, d),
+    or the all-ones (1,) for the shift propagators.  Each is a sum of its
+    interval anchor and the source weighted by scalar gains of the schedule.
     """
 
-    schedule: PwcSchedule
-    fwd: ForwardScalar = field(repr=False)
-    bwd: BackwardScalar = field(repr=False)
-    source: np.ndarray            # (M, d)
-    plus_start: np.ndarray        # (M, d) theta_plus at interval starts
-    plus_end: np.ndarray          # (d,) theta_plus at t = 1
-    x_anchor: np.ndarray          # (M, d) theta_x at interval right ends (0 row for terminal)
-    y_anchor: np.ndarray          # (M, d)
-
-    def evaluate(self, t: np.ndarray, idx: np.ndarray) -> tuple:
-        """(theta_plus, theta_x, theta_y), each (n, d), at the times t in the intervals idx."""
-        return self._combine(self.fwd._forms(t, idx)[1:], self.bwd._forms(t, idx)[3:], idx)
+    source: np.ndarray            # (M, *trail)
+    plus_start: np.ndarray        # (M, *trail) theta_plus at interval starts
+    plus_end: np.ndarray          # (*trail,) theta_plus at t = 1
+    x_anchor: np.ndarray          # (M, *trail) theta_x at interval right ends (0 row for terminal)
+    y_anchor: np.ndarray          # (M, *trail)
 
     def _combine(self, plus_gains, pair_gains, idx) -> tuple:
-        """(theta_plus, theta_x, theta_y) from per-row gains of the rows in the intervals idx."""
+        """(theta_plus, theta_x, theta_y), each (n, *trail), from the gains (n,) of the rows in the intervals idx."""
         src = self.source[idx]
-        col = lambda gains: [g[:, None] for g in gains]
+        col = lambda gains: [g.reshape(g.shape + (1,) * (src.ndim - 1)) for g in gains]
         return (_plus(col(plus_gains), self.plus_start[idx], src),
                 *_pair(col(pair_gains), self.x_anchor[idx], self.y_anchor[idx], src))
 
 
 def linear_coeffs(schedule: PwcSchedule, source, fwd: ForwardScalar, bwd: BackwardScalar) -> LinearCoeffs:
-    """Propagate the linear coefficients for a per-interval source (M, d)."""
-    source = np.atleast_2d(np.asarray(source, dtype=float))
+    """Propagate the linear coefficients for a per-interval source (M, *trail)."""
     M = schedule.n_intervals
     if source.shape[0] != M:
         raise ValueError(f"need one source value per interval: {source.shape[0]} vs {M}")
-    d = source.shape[1]
+    trail = source.shape[1:]
     bp = schedule.breakpoints
     # theta_plus forward over whole intervals: ends[i] = theta_plus(t_i), ends[0] = 0
     plus_gains = np.array(fwd._forms(bp[1:], np.arange(M))[1:])
-    ends = np.zeros((M + 1, d))
+    ends = np.zeros((M + 1, *trail))
     for i in range(M):
         ends[i + 1] = _plus(plus_gains[:, i], ends[i], source[i])
     # the pair backward: the left-end values of interval i+1 are the anchors of interval i
     pair_gains = np.array(bwd._forms(bp[1:M], np.arange(1, M))[3:])
-    x_anchor = np.zeros((M, d))
-    y_anchor = np.zeros((M, d))
+    x_anchor = np.zeros((M, *trail))
+    y_anchor = np.zeros((M, *trail))
     for i in range(M - 2, -1, -1):
         x_anchor[i], y_anchor[i] = _pair(pair_gains[:, i], x_anchor[i + 1], y_anchor[i + 1], source[i + 1])
-    return LinearCoeffs(schedule, fwd, bwd, source, ends[:M], ends[M], x_anchor, y_anchor)
-
-
-def shift_propagators(schedule: PwcSchedule, fwd: ForwardScalar, bwd: BackwardScalar) -> LinearCoeffs:
-    """Scalar propagators: same ODEs as the thetas with source beta instead of beta nu."""
-    ones = np.ones((schedule.n_intervals, 1))
-    return linear_coeffs(schedule, ones, fwd, bwd)
+    return LinearCoeffs(source, ends[:M], ends[M], x_anchor, y_anchor)
 
 
 # ----------------------------------------------------------------------------
@@ -263,11 +246,12 @@ def shift_propagators(schedule: PwcSchedule, fwd: ForwardScalar, bwd: BackwardSc
 class KernelCoeffs:
     """Time-only kernel coefficients at n evaluation times.
 
-    Scalar coefficients are (n,) arrays and vector ones (n, d): a, b, c are
-    the backward kernel's, K = c - a_plus(1) is the probe precision, the
-    lam_* are the shift propagators and nu the tabled guidance.  ``row(j)``
-    is the slice at one time (scalars and (d,) vectors), which is what the
-    probe, posterior and drift take.
+    Scalar coefficients are (n,) arrays: a, b, c are the backward kernel's,
+    K = c - a_plus(1) is the probe precision and the lam_* are the shift
+    propagators.  The guidance's fields theta_plus, theta_x, theta_y and nu
+    (the tabled guidance) are (n, d) for one mode and (n, n_modes, d) for
+    several.  ``row(j)`` is the slice at one time, which is what the probe,
+    posterior and drift take.
     """
 
     t: np.ndarray
@@ -294,7 +278,7 @@ class CoeffTables:
     """Everything the score needs, evaluable exactly at any interior time."""
 
     schedule: PwcSchedule
-    nu: np.ndarray                 # (M, d) per-interval guidance values
+    nu: np.ndarray                 # (M, d) or (M, n_modes, d) per-interval guidance values
     fwd: ForwardScalar
     bwd: BackwardScalar
     theta: LinearCoeffs
@@ -316,7 +300,11 @@ class CoeffTables:
 
     @property
     def dim(self) -> int:
-        return self.nu.shape[1]
+        return self.nu.shape[-1]
+
+    @property
+    def n_modes(self) -> int:
+        return 1 if self.nu.ndim == 2 else self.nu.shape[1]
 
     @property
     def dt(self) -> float:
@@ -326,19 +314,12 @@ class CoeffTables:
     def t_clip(self) -> tuple:
         return (0.5 * self.dt, 1.0 - 0.5 * self.dt)
 
-    def probe_precision(self, ts) -> np.ndarray:
-        """K_t = c_minus(t) - a_plus(1), without the linear coefficients ``sample`` adds.
-
-        Positive on (0, 1) for sane schedules; the config dry run scans it.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.bwd.abc(ts, interval_of(self.schedule, ts))[2] - self.a_plus_end
-
     def sample(self, ts) -> KernelCoeffs:
         """Every coefficient and the guidance value at the times ``ts``.
 
         The one evaluator of the tables: the score's per-step table, its
-        one-time rows and the coefficient CSV dump all read it.
+        one-time rows, the config dry run and the coefficient CSV dump all
+        read it.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         idx = interval_of(self.schedule, ts)
@@ -354,10 +335,10 @@ class CoeffTables:
 
 
 def build_tables(schedule: PwcSchedule, nu_values, n_steps: int = DEFAULT_N_STEPS) -> CoeffTables:
-    """Assemble all coefficient trajectories for per-interval guidance values."""
+    """Assemble all coefficient trajectories for per-interval guidance values (M, d) or (M, n_modes, d)."""
     nu_values = np.atleast_2d(np.asarray(nu_values, dtype=float))
     fwd = forward_scalar(schedule)
     bwd = backward_scalar(schedule)
     theta = linear_coeffs(schedule, nu_values, fwd, bwd)
-    lam = shift_propagators(schedule, fwd, bwd)
+    lam = linear_coeffs(schedule, np.ones((schedule.n_intervals, 1)), fwd, bwd)
     return CoeffTables(schedule, nu_values, fwd, bwd, theta, lam, n_steps)

@@ -407,7 +407,7 @@ def validate_config(config: ExperimentConfig) -> list:
         sched = config.schedule()
         tables = build_tables(sched, np.zeros((sched.n_intervals, 1)), config.n_steps)
         ts = np.linspace(tables.t_clip[0], tables.t_clip[1], 2001)
-        K = tables.probe_precision(ts)
+        K = tables.sample(ts).K
         if not np.all(np.isfinite(K)) or np.any(K <= 0):
             bad = float(ts[np.argmin(K)])
             errors.append(f"probe precision not positive on the grid (worst at t={bad:.4f})")

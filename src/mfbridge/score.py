@@ -20,9 +20,9 @@ inverse noise, shrinkage and gain).  ``coeffs(t)`` is its one-row case.
 
 The schedule alone fixes a, b, c, K, a_plus and the lambdas; the guidance
 enters only theta_plus, theta_x, theta_y, nu and theta_plus(1).  A context
-built on several modes' tables (same schedule and step grid) carries those
-per mode, (M, d) per time, and takes positions as M groups of rows, so one
-drift evaluation advances every mode.
+on a table of several stacked modes carries those per mode, (M, d) per
+time, and takes positions as M groups of rows, so one drift evaluation
+advances every mode.
 
 The target components are grouped into as few orthonormal bases as
 diagonalise their covariances: a component joins an earlier eigenbasis U
@@ -49,7 +49,7 @@ respectively, and vanish when the override equals the tabled guidance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import logsumexp
@@ -57,7 +57,7 @@ from scipy.special import logsumexp
 from .errors import ProbeError
 from .greens import CoeffTables, KernelCoeffs
 
-__all__ = ["GaussianMixture", "KernelCoeffs", "ScoreCoeffs", "ScoreContext", "ar1_covariance",
+__all__ = ["GaussianMixture", "KernelCoeffs", "ScoreCoeffs", "ScoreContext", "WORK_SLOTS", "ar1_covariance",
            "probe", "posterior", "score_at", "shifted_score", "marginal_density"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -173,9 +173,8 @@ class GaussianMixture:
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
 
-# per-mode coefficients: a stacked context gives each of them a mode axis
-PER_MODE_FIELDS = ("theta_plus", "theta_x", "theta_y", "nu")
 BASIS_TOL = 1e-12  # largest off-diagonal / diagonal ratio of a covariance a basis diagonalises
+WORK_SLOTS = 5     # (n, d) arrays a drift evaluation writes: probe, affine part, two mean terms, drift
 
 
 @dataclass(frozen=True)
@@ -239,6 +238,11 @@ def _shared_bases(covariances: np.ndarray):
     return bases, order, lam[order]
 
 
+def _work(X: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """``work``, or a fresh (WORK_SLOTS, n, d) array for the positions X (n, d)."""
+    return np.empty((WORK_SLOTS, *X.shape)) if work is None else work
+
+
 def _to_basis(U, A):
     return A if U is None else A @ U
 
@@ -248,37 +252,22 @@ def _from_basis(U, A):
 
 
 class ScoreContext:
-    """Coefficient tables of one or more guidance modes, the target mixture and its shared eigenbases.
+    """The coefficient tables of one or more guidance modes, the target mixture and its shared eigenbases.
 
-    ``tables`` is one ``CoeffTables`` or a sequence of them, one per stacked
-    mode, all on the same schedule and step grid.  A sequence gives every
-    per-mode coefficient a mode axis ((M, d) per row), and the positions the
-    drift takes are then M groups of rows, one per mode.
+    A table of several stacked modes gives every per-mode coefficient a mode
+    axis ((M, d) per row), and the positions the drift takes are then M
+    groups of rows, one per mode.
     """
 
-    def __init__(self, tables, target: GaussianMixture, initial: GaussianMixture | None = None):
-        stacked = not isinstance(tables, CoeffTables)
-        modes = tuple(tables) if stacked else (tables,)
-        first = modes[0]
-        for tab in modes[1:]:
-            if not (np.array_equal(tab.schedule.breakpoints, first.schedule.breakpoints)
-                    and np.array_equal(tab.schedule.betas, first.schedule.betas)
-                    and tab.n_steps == first.n_steps):
-                raise ValueError("stacked tables must share the schedule and the step grid")
-        if target.dim != first.dim:
-            raise ValueError(f"target dimension {target.dim} != tables dimension {first.dim}")
+    def __init__(self, tables: CoeffTables, target: GaussianMixture, initial: GaussianMixture | None = None):
+        if target.dim != tables.dim:
+            raise ValueError(f"target dimension {target.dim} != tables dimension {tables.dim}")
         if initial is not None and initial.dim != target.dim:
             raise ValueError("initial mixture dimension mismatch")
         self.tables = tables
         self.target = target
         self.initial = initial
-        self.n_modes = len(modes)
-        self._modes = modes
-        self._stacked = stacked
-        self.a_plus_end = first.a_plus_end
-        ends = [np.atleast_1d(tab.theta_plus_end) for tab in modes]
-        self.theta_plus_end = np.stack(ends) if stacked else ends[0]
-        self.lambda_plus_end = first.lambda_plus_end
+        self.n_modes = tables.n_modes
         self.bases, self._order, self._lam = _shared_bases(target.covariances)
         means = target.means[self._order]
         for U, sl in self.bases:
@@ -293,18 +282,13 @@ class ScoreContext:
         Raises ProbeError at the first time where the probe precision K is
         not positive, so a bad schedule fails before any particle moves.
         """
-        lo, hi = self._modes[0].t_clip
-        ts = np.clip(ts, lo, hi)
-        samples = [tab.sample(ts) for tab in self._modes]
-        co = samples[0]
+        lo, hi = self.tables.t_clip
+        co = self.tables.sample(np.clip(ts, lo, hi))
         bad = ~(np.isfinite(co.K) & (co.K > 0))
         if np.any(bad):
             j = int(np.argmax(bad))
             raise ProbeError(f"probe precision {co.K[j]} not positive at t={co.t[j]}; "
                              "schedule/anchoring inconsistency")
-        if self._stacked:
-            co = replace(co, **{name: np.stack([getattr(s, name) for s in samples], axis=1)
-                                for name in PER_MODE_FIELDS})
         return self._score_coeffs(co)
 
     def coeffs(self, t: float) -> ScoreCoeffs:
@@ -322,8 +306,8 @@ class ScoreContext:
         return ScoreCoeffs(
             **{f.name: getattr(co, f.name) for f in fields(KernelCoeffs)},
             probe_x=b / K,
-            probe_0=(co.theta_y - self.theta_plus_end) / K.reshape(per_mode),
-            probe_z=(K - b - co.lam_y + self.lambda_plus_end) / K,
+            probe_0=(co.theta_y - self.tables.theta_plus_end) / K.reshape(per_mode),
+            probe_z=(K - b - co.lam_y + self.tables.lambda_plus_end) / K,
             ups_x=a / b,
             ups_0=co.theta_x / b.reshape(per_mode),
             ups_z=(a - co.lam_x - b) / b,
@@ -336,40 +320,52 @@ class ScoreContext:
         )
 
     # ------------------------------------------------------------------
-    def _affine_inputs(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None, nu_hat: np.ndarray | None):
-        """Probe mean w and kernel affine part, both in original coordinates.
+    def _affine_inputs(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None, nu_hat: np.ndarray | None,
+                       work: np.ndarray | None = None):
+        """Probe mean w and kernel affine part, both in original coordinates, in work[0] and work[1].
 
         X holds one group of rows per mode; the shifts Z, shared by the
         modes, and a per-mode ``nu_hat`` broadcast over each group.
         """
+        work = _work(X, work)
         d = X.shape[1]
         X3 = X.reshape(self.n_modes, -1, d)
-        w = co.probe_x * X3
+        w = np.multiply(co.probe_x, X3, out=work[0].reshape(X3.shape))
         w += co.probe_0.reshape(-1, 1, d)
-        ups = co.ups_x * X3
+        ups = np.multiply(co.ups_x, X3, out=work[1].reshape(X3.shape))
         ups -= co.ups_0.reshape(-1, 1, d)
         if Z is not None:
             # shifted problem has guidance nu - z, so every linear coefficient
             # moves by -lambda z (uniform sign under this lambda convention)
-            w += co.probe_z * Z
-            ups -= co.ups_z * Z
+            shift = work[3][:Z.shape[0]]
+            w += np.multiply(co.probe_z, Z, out=shift)
+            ups -= np.multiply(co.ups_z, Z, out=shift)
         if nu_hat is not None:
             delta = (np.atleast_1d(nu_hat) - co.nu).reshape(-1, 1, d)
             w += (1.0 - co.probe_x) * delta
             ups += (1.0 - co.ups_x) * delta
-        return w.reshape(X.shape), ups.reshape(X.shape)
+        return work[0], work[1]
 
-    def _posterior(self, co: ScoreCoeffs, w: np.ndarray):
-        """Responsibilities (K, n), in basis order, and the posterior mean (n, d) for probes w."""
+    def _posterior(self, co: ScoreCoeffs, w: np.ndarray, work: np.ndarray | None = None):
+        """Responsibilities (K, n), in basis order, and the posterior mean (n, d) for probes w.
+
+        The squared probes and the mean's terms go to work[2] and work[4],
+        the mean itself to work[3].
+        """
+        work = _work(w, work)
         rotated = [_to_basis(U, w) for U, _ in self.bases]
-        log_w = np.concatenate([co.post_quad[sl] @ (pw * pw).T + co.post_lin[sl] @ pw.T + co.post_const[sl, None]
-                                for pw, (_, sl) in zip(rotated, self.bases)])
+        log_w = np.concatenate([co.post_quad[sl] @ np.multiply(pw, pw, out=work[2]).T + co.post_lin[sl] @ pw.T
+                                + co.post_const[sl, None] for pw, (_, sl) in zip(rotated, self.bases)])
         p = np.exp(log_w - log_w.max(axis=0))
         p /= p.sum(axis=0)
-        y_hat = None
-        for pw, (U, sl) in zip(rotated, self.bases):
-            y = _from_basis(U, p[sl].T @ co.shrink[sl] + pw * (p[sl].T @ co.gain[sl]))
-            y_hat = y if y_hat is None else y_hat + y
+        y_hat = work[3]
+        for i, (pw, (U, sl)) in enumerate(zip(rotated, self.bases)):
+            y = np.matmul(p[sl].T, co.shrink[sl], out=work[4] if i or U is not None else y_hat)
+            y += np.multiply(pw, np.matmul(p[sl].T, co.gain[sl], out=work[2]), out=work[2])
+            if U is not None:
+                y = np.matmul(y, U.T, out=work[2] if i else y_hat)
+            if i:
+                y_hat += y
         return p, y_hat
 
     def responsibilities(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
@@ -380,17 +376,22 @@ class ScoreContext:
         out[:, self._order] = p.T
         return out
 
-    def score_batch(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None = None, nu_hat=None) -> np.ndarray:
+    def score_batch(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None = None, nu_hat=None,
+                    work: np.ndarray | None = None) -> np.ndarray:
         """Drift for a batch of positions X (B, d) at the coefficient row ``co``.
 
         Z carries per-particle shifts; ``co`` comes from ``coeffs(t)`` or a
-        row of ``coeff_table``.
+        row of ``coeff_table``.  The intermediates and the drift, returned
+        as the view work[3], are written into ``work``, (WORK_SLOTS, n, d)
+        for X of n rows; None allocates a fresh one.  A run passes the same
+        array every step, so the step's memory stays mapped.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if Z is not None:
             Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        w, ups = self._affine_inputs(co, X, Z, nu_hat)
-        _, u = self._posterior(co, w)
+        work = _work(X, work)
+        w, ups = self._affine_inputs(co, X, Z, nu_hat, work)
+        _, u = self._posterior(co, w, work)
         u -= ups
         u *= co.b
         return u

@@ -10,11 +10,12 @@ Conventions:
     stream per step plus one for the initial draw, so runs are bit-for-bit
     reproducible regardless of how particles are partitioned over workers;
   * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
-    to compare on it.  A mode's guidance reaches the run only through its
-    ``CoeffTables``.  The modes advance together: their positions are
-    stacked as one group of rows per mode, and the initial draw and each
-    step's (B, d) draw are made once and shared, which is exactly what
-    separate runs with the same seed would draw.
+    to compare on it.  Their guidance reaches the run only through one
+    ``CoeffTables`` that stacks it.  The modes advance together: their
+    positions are stacked as one group of rows per mode, and the initial
+    draw and each step's (B, d) draw are made once and shared, which is
+    exactly what separate runs with the same seed would draw; every step
+    writes its (M B, d) intermediates into one work array of the run.
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from .errors import DivergedError
 from .greens import CoeffTables, build_tables, DEFAULT_N_STEPS
 from .guidance import linear_guidance
 from .schedule import PwcSchedule
-from .score import GaussianMixture, KernelCoeffs, ScoreContext
+from .score import WORK_SLOTS, GaussianMixture, KernelCoeffs, ScoreContext
 
-__all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES",
-           "tables_for_mode", "sample_initial", "step", "run_bridge"]
+__all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES", "N_SAVED_PATHS",
+           "mode_guidance", "tables_for_modes", "sample_initial", "step", "run_bridge"]
 
 # mf: the linear mean-field interpolant; ia0, iam: independent agents
 # steering to zero / to the target mean; cl: closed loop, re-centred at the
 # empirical ensemble mean
 GUIDANCE_MODES = ("mf", "ia0", "iam", "cl")
+N_SAVED_PATHS = 50   # particles per mode whose whole paths a report keeps
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -54,8 +56,7 @@ class SimConfig:
     n_particles: int = 8000
     n_steps: int = DEFAULT_N_STEPS
     seed: int = 20250101
-    n_saved_paths: int = 50
-    snapshot_times: tuple = ()   # record full particle positions at these times
+    snapshot_times: tuple = ()   # record full particle positions at the steps nearest these times
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -74,16 +75,20 @@ class SimConfig:
         return self.initial.mean if self.initial is not None else np.zeros(self.dim)
 
 
-def tables_for_mode(config: SimConfig, mode: str) -> CoeffTables:
-    """Coefficient tables of a mode's per-interval guidance on the run's step grid; cl's are mf's."""
+def mode_guidance(config: SimConfig, mode: str) -> np.ndarray:
+    """A mode's per-interval guidance (n_intervals, d); cl's is mf's."""
     sched = config.schedule
     if mode == "ia0":
-        values = np.zeros((sched.n_intervals, config.dim))
-    elif mode == "iam":
-        values = np.tile(config.target.mean, (sched.n_intervals, 1))
-    else:
-        values = linear_guidance(config.initial_mean, config.target.mean, sched.midpoints())
-    return build_tables(sched, values, config.n_steps)
+        return np.zeros((sched.n_intervals, config.dim))
+    if mode == "iam":
+        return np.tile(config.target.mean, (sched.n_intervals, 1))
+    return linear_guidance(config.initial_mean, config.target.mean, sched.midpoints())
+
+
+def tables_for_modes(config: SimConfig, modes: Sequence[str]) -> CoeffTables:
+    """One coefficient table of the modes' stacked guidance (n_intervals, n_modes, d) on the run's step grid."""
+    guidance = np.stack([mode_guidance(config, m) for m in modes], axis=1)
+    return build_tables(config.schedule, guidance, config.n_steps)
 
 
 @dataclass
@@ -144,10 +149,11 @@ def _first_bad_row(values: np.ndarray, n_particles: int) -> str:
 
 
 def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, rng: np.random.Generator,
-         closed_loop: np.ndarray | None = None) -> EnsembleState:
+         work: np.ndarray, closed_loop: np.ndarray | None = None) -> EnsembleState:
     """One Euler-Maruyama update of every mode at row ``state.step_index`` of the step table.
 
     One (B, d) normal draw from ``rng`` is added to every mode's rows.
+    ``work`` (WORK_SLOTS, M B, d) takes the drift and every intermediate.
     ``closed_loop`` marks the modes whose kernel slots re-centre at their
     batch mean (None: no mode).  Mutates and returns ``state``.
     """
@@ -160,14 +166,16 @@ def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float
     nu_hat = None
     if closed_loop is not None:
         nu_hat = np.where(closed_loop[:, None], _particle_mean(by_mode), co.nu.reshape(M, d))
-    u = ctx.score_batch(co, state.positions, state.shifts, nu_hat)
+    u = ctx.score_batch(co, state.positions, state.shifts, nu_hat, work)
     if not np.all(np.isfinite(u)):
         raise DivergedError(f"non-finite drift for {_first_bad_row(u, B)} at t={t:.6f}")
-    uu = u * u
+    uu = np.multiply(u, u, out=work[0])
     state.energy += uu @ np.ones(d) * dt
     state.zone_energy += _particle_mean(uu.reshape(M, B, d)) * dt
-    xi = rng.standard_normal((B, d))
-    by_mode += u.reshape(M, B, d) * dt + np.sqrt(dt) * xi
+    xi = rng.standard_normal(out=work[2][:B])
+    increment = np.multiply(u, dt, out=work[1]).reshape(M, B, d)
+    increment += np.multiply(np.sqrt(dt), xi, out=xi)
+    by_mode += increment
     if not np.all(np.isfinite(state.positions)):
         raise DivergedError(f"non-finite position for {_first_bad_row(state.positions, B)} at t={t + dt:.6f}")
     state.step_index += 1
@@ -191,7 +199,7 @@ class EnergyReport:
     terminal_std: dict              # label -> (d,)
     zone_energy: np.ndarray         # (d,)
     trajectories: np.ndarray        # (n_saved, n_steps + 1, d)
-    snapshots: dict = field(default_factory=dict)   # time -> (B, d) positions
+    snapshots: dict = field(default_factory=dict)   # step time k/n -> (B, d) positions
     shifts: np.ndarray | None = None                # (B, d) start points, mixture runs
     seed: int = 0
     guidance_mode: str = ""
@@ -232,15 +240,15 @@ def _per_component(energy: np.ndarray, labels: np.ndarray, n_comp: int) -> dict:
 
 
 def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
-               tables: Sequence[CoeffTables] | None = None) -> list[EnergyReport]:
+               tables: CoeffTables | None = None) -> list[EnergyReport]:
     """Bridge simulation of the guidance ``modes`` on one problem, in one stacked pass.
 
     The modes share the initial draw and each step's noise draw, which is
-    exactly what separate runs with one seed would draw.  ``tables`` (one
-    per mode) defaults to ``tables_for_mode`` of each; an unknown mode or a
-    count mismatch raises ValueError before any particle moves.  Returns
-    one ``EnergyReport`` per mode, in order; each carries the wall time of
-    the whole pass.
+    exactly what separate runs with one seed would draw.  ``tables``, whose
+    guidance holds one mode per entry of ``modes``, defaults to
+    ``tables_for_modes``; an unknown mode or a mode-count mismatch raises
+    ValueError before any particle moves.  Returns one ``EnergyReport`` per
+    mode, in order; each carries the wall time of the whole pass.
     """
     t_start = time.perf_counter()
     modes = list(modes)
@@ -249,9 +257,9 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     unknown = [m for m in modes if m not in GUIDANCE_MODES]
     if unknown:
         raise ValueError(f"unknown guidance modes {unknown}; choose from {GUIDANCE_MODES}")
-    tables = [tables_for_mode(config, m) for m in modes] if tables is None else list(tables)
-    if len(tables) != len(modes):
-        raise ValueError(f"{len(tables)} tables for {len(modes)} modes")
+    tables = tables_for_modes(config, modes) if tables is None else tables
+    if tables.n_modes != len(modes):
+        raise ValueError(f"tables hold {tables.n_modes} guidance modes for {len(modes)} modes")
     ctx = ScoreContext(tables, config.target, config.initial)
     M, B, d, n = len(modes), config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
@@ -259,7 +267,8 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     state = sample_initial(config, _stream(config.seed, 0), M)
     closed_loop = np.array([m == "cl" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
-    n_saved = min(config.n_saved_paths, B)
+    n_saved = min(N_SAVED_PATHS, B)
+    work = np.empty((WORK_SLOTS, M * B, d))
 
     by_mode = state.positions.reshape(M, B, d)
     power = np.empty((M, n))
@@ -269,21 +278,22 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode)
     trajectories[:, :, 0] = by_mode[:, :n_saved]
 
-    snapshot_steps = {min(n, max(0, int(round(ts * n)))): float(ts) for ts in config.snapshot_times}
+    # a snapshot is keyed by the time of the step it is recorded at
+    snapshot_steps = {min(n, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
     snapshots = {}
     if 0 in snapshot_steps:
-        snapshots[snapshot_steps[0]] = by_mode.copy()
+        snapshots[0.0] = by_mode.copy()
 
     energy = state.energy.reshape(M, B)
     prev_energy = np.zeros((M, B))
     for j in range(n):
-        step(state, ctx, table, dt, _stream(config.seed, 1 + j), closed_loop)
+        step(state, ctx, table, dt, _stream(config.seed, 1 + j), work, closed_loop)
         power[:, j] = np.mean(energy - prev_energy, axis=1) / dt
         prev_energy = energy.copy()
         mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode)
         trajectories[:, :, j + 1] = by_mode[:, :n_saved]
         if j + 1 in snapshot_steps:
-            snapshots[snapshot_steps[j + 1]] = by_mode.copy()
+            snapshots[(j + 1) / n] = by_mode.copy()
 
     # terminal-basin attribution from the posterior responsibilities just
     # before the pinning time

@@ -304,7 +304,7 @@ def test_criterion_8_fixed_point_consistency():
         def mean_map(nu_values):
             cfg = SimConfig(target=target, schedule=sched, initial=initial,
                             n_particles=8000, n_steps=2500, seed=808)
-            return run_bridge(cfg, ["mf"], [build_tables(sched, nu_values, 2500)])[0].mean_trace[mid_steps]
+            return run_bridge(cfg, ["mf"], build_tables(sched, nu_values, 2500))[0].mean_trace[mid_steps]
 
         nu0 = np.repeat(target.mean[None, :], 8, axis=0)
         res = fixed_point_guidance(sched, mean_map, nu0, tol=2e-4, max_iter=15)

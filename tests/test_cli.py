@@ -249,6 +249,18 @@ def test_cli_bridge_outputs(tmp_path):
     assert header == ["t", "P_mf", "P_ia0", "E_mf", "E_ia0"]
 
 
+def test_affine_fit_slices_lie_on_the_step_grid(tmp_path):
+    # positions are recorded at the step nearest each requested time, and
+    # the drift they are fitted against is evaluated at that step's time
+    out = tmp_path / "coarse"
+    assert main(["bridge", "--preset", "scenario-b", "--particles", "50", "--steps", "20",
+                 "--modes", "mf", "--out", str(out)]) == 0
+    with open(out / "affine_fit.csv") as fh:
+        ts = [float(row["t"]) for row in csv.DictReader(fh)]
+    assert len(ts) == len(set(ts)) == 21
+    assert all(abs(t * 20 - round(t * 20)) < 1e-9 for t in ts)
+
+
 def test_cli_sweep_table(tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--preset", "ar-sweep", "--values", "0.0,0.5",
@@ -362,14 +374,14 @@ def test_cli_numerical_failure_exit_code(monkeypatch, tmp_path):
 
 def test_cli_probe_failure_exit_code(monkeypatch, tmp_path, capsys):
     import mfbridge.cli as climod
-    from mfbridge.simulate import tables_for_mode
+    from mfbridge.simulate import tables_for_modes
 
-    def broken_tables(sim_cfg, mode):
-        tables = tables_for_mode(sim_cfg, mode)
+    def broken_tables(sim_cfg, modes):
+        tables = tables_for_modes(sim_cfg, modes)
         tables.bwd.c_anchor[3] -= 1e3  # K < 0 on one interval
         return tables
 
-    monkeypatch.setattr(climod, "tables_for_mode", broken_tables)
+    monkeypatch.setattr(climod, "tables_for_modes", broken_tables)
     out = tmp_path / "probe"
     rc = main(["bridge", "--preset", "scenario-b", "--particles", "50",
                "--steps", "30", "--modes", "mf", "--out", str(out)])

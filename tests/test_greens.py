@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from mfbridge.greens import build_tables, forward_scalar, backward_scalar, linear_coeffs, shift_propagators
-from mfbridge.schedule import PwcSchedule, geometric_schedule, interval_of
+from mfbridge.greens import build_tables
+from mfbridge.schedule import PwcSchedule, geometric_schedule
 
 
 def _source_fn(schedule, values):
@@ -73,16 +73,23 @@ def test_paper_schedule_matches_rk4(paper_schedule, relerr):
     assert np.max(np.abs(co.theta_y - thy)) < 1e-4 * max(1, np.max(np.abs(thy)))
 
 
-def test_shift_propagators_match_unit_source(paper_schedule):
-    fwd = forward_scalar(paper_schedule)
-    bwd = backward_scalar(paper_schedule)
-    lam = shift_propagators(paper_schedule, fwd, bwd)
-    ones = np.ones((paper_schedule.n_intervals, 1))
-    theta = linear_coeffs(paper_schedule, ones, fwd, bwd)
-    ts = np.linspace(0.05, 0.95, 19)
-    idx = interval_of(paper_schedule, ts)
-    for got, want in zip(lam.evaluate(ts, idx), theta.evaluate(ts, idx)):
-        assert np.array_equal(got, want)
+def test_stacked_modes_sample_like_single_mode_tables(paper_schedule):
+    # the gains broadcast over the mode axis: each mode's slice of one
+    # stacked table is bit-identical to a table built on that mode alone
+    M = paper_schedule.n_intervals
+    guidance = [np.linspace(2.8, 0.6, M)[:, None] * [1.0, -0.5], np.zeros((M, 2)), np.full((M, 2), 0.7)]
+    stacked = build_tables(paper_schedule, np.stack(guidance, axis=1))
+    assert stacked.n_modes == 3 and stacked.dim == 2
+    ts = np.linspace(0.005, 0.995, 41)
+    co = stacked.sample(ts)
+    assert co.theta_plus.shape == (41, 3, 2)
+    for i, nu in enumerate(guidance):
+        single = build_tables(paper_schedule, nu)
+        assert single.n_modes == 1
+        want = single.sample(ts)
+        for name in ("theta_plus", "theta_x", "theta_y", "nu"):
+            assert np.array_equal(getattr(co, name)[:, i], getattr(want, name)), name
+        assert np.array_equal(stacked.theta_plus_end[i], single.theta_plus_end)
 
 
 def test_lambda_zero_without_interaction():
@@ -195,7 +202,7 @@ def test_positive_coefficients_and_small_beta_limit():
 def test_probe_precision_positive(paper_schedule):
     tab = build_tables(paper_schedule, np.zeros((8, 1)))
     ts = np.linspace(2e-4, 1 - 2e-4, 4999)
-    K = tab.probe_precision(ts)
+    K = tab.sample(ts).K
     assert np.all(K > 0)
 
 

@@ -8,6 +8,7 @@ from mfbridge.guidance import linear_guidance
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import (
     GaussianMixture,
+    WORK_SLOTS,
     ScoreContext,
     ar1_covariance,
     marginal_density,
@@ -125,12 +126,12 @@ def test_posterior_matches_quadrature_oracle(ctx_b):
     t, x = 0.5, 3.0
     tab, target = ctx_b.tables, ctx_b.target
     co = ctx_b.coeffs(t)
-    mu = (co.b * x + float(co.theta_y[0]) - float(ctx_b.theta_plus_end[0])) / co.K
+    mu = (co.b * x + float(co.theta_y[0]) - float(ctx_b.tables.theta_plus_end[0])) / co.K
     ys = np.linspace(-8.0, 10.0, 20001)
     h = ys[1] - ys[0]
     log_ratio = (-0.5 * co.a * x * x + co.b * x * ys - 0.5 * co.c * ys**2
                  + float(co.theta_x[0]) * x + float(co.theta_y[0]) * ys
-                 - (-0.5 * ctx_b.a_plus_end * ys**2 + float(ctx_b.theta_plus_end[0]) * ys))
+                 - (-0.5 * ctx_b.tables.a_plus_end * ys**2 + float(ctx_b.tables.theta_plus_end[0]) * ys))
     masses = np.empty(target.n_components)
     mean_num = 0.0
     for k in range(target.n_components):
@@ -392,9 +393,21 @@ def test_shared_basis_posterior_matches_reference(kind, n_comp, d, step, seed):
                                rtol=1e-12, atol=1e-12 * np.max(np.abs(m_ref)))
 
 
-def test_stacked_context_needs_one_schedule(paper_schedule, free_tables, dr_target):
-    paper = build_tables(paper_schedule, np.zeros((paper_schedule.n_intervals, 1)))
-    with pytest.raises(ValueError, match="share the schedule"):
-        ScoreContext([paper, free_tables], dr_target)
-    with pytest.raises(ValueError, match="share the schedule"):
-        ScoreContext([paper, build_tables(paper_schedule, np.zeros((paper_schedule.n_intervals, 1)), 100)], dr_target)
+@pytest.mark.parametrize("kind", ["isotropic", "ar1", "spd"])
+def test_score_batch_reuses_a_work_array(kind):
+    # a work array still holding an earlier call's values gives the drift a
+    # fresh one gives, bit for bit, for one or several bases and two stacked
+    # modes, and the drift is written into it
+    rng = np.random.default_rng(11)
+    d, B = 3, 40
+    target = _random_target(kind, 3, d, rng)
+    sched = geometric_schedule(12.0, 0.65, 8)
+    ctx = ScoreContext(build_tables(sched, np.stack([np.zeros((8, d)), np.ones((8, d))], axis=1)), target)
+    table = ctx.coeff_table(np.array([0.2, 0.6, 0.9]))
+    X, Z = rng.normal(size=(2 * B, d)), rng.normal(size=(B, d))
+    work = np.full((WORK_SLOTS, 2 * B, d), np.nan)
+    for j, nu_hat in enumerate((None, np.full((2, d), 0.4), None)):
+        fresh = ctx.score_batch(table.row(j), X, Z, nu_hat)
+        reused = ctx.score_batch(table.row(j), X, Z, nu_hat, work)
+        assert np.shares_memory(reused, work)
+        assert np.array_equal(fresh, reused)

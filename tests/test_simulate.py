@@ -8,7 +8,8 @@ import mfbridge.simulate as simulate
 from mfbridge.errors import ProbeError
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
-from mfbridge.simulate import GUIDANCE_MODES, SimConfig, run_bridge, sample_initial, tables_for_mode, _stream
+from mfbridge.simulate import (GUIDANCE_MODES, SimConfig, mode_guidance, run_bridge, sample_initial,
+                               tables_for_modes, _stream)
 
 
 def small_config(**kw):
@@ -29,7 +30,7 @@ def test_config_validation():
 
 
 def test_guidance_modes_resolve():
-    # each mode's tables hold one guidance value per interval: the linear
+    # each mode's guidance is one value per interval: the linear
     # interpolant at the midpoints for mf and cl, constants for ia0 and iam
     target = GaussianMixture.isotropic([0.6, 0.4], [[0.0, 0.3], [1.5, -0.4]], [0.2, 0.3])
     initial = GaussianMixture.isotropic([0.6, 0.4], [[1.5, 2.0], [5.5, 4.0]], [0.5, 0.7])
@@ -38,7 +39,7 @@ def test_guidance_modes_resolve():
     linear = (1.0 - mids) * initial.mean + mids * target.mean
     want = {"mf": linear, "cl": linear, "ia0": np.zeros((8, 2)), "iam": np.tile(target.mean, (8, 1))}
     for mode in GUIDANCE_MODES:
-        np.testing.assert_allclose(tables_for_mode(cfg, mode).nu, want[mode], rtol=1e-15, atol=0, err_msg=mode)
+        np.testing.assert_allclose(mode_guidance(cfg, mode), want[mode], rtol=1e-15, atol=0, err_msg=mode)
 
 
 def test_sample_initial_delta():
@@ -183,7 +184,7 @@ def test_step_table_rows_match_scalar_coeffs(make_config):
     # evaluation at every step time, field by field (nu is the closed-loop
     # re-centring reference)
     cfg, mode = make_config()
-    ctx = ScoreContext(tables_for_mode(cfg, mode), cfg.target, cfg.initial)
+    ctx = ScoreContext(tables_for_modes(cfg, [mode]), cfg.target, cfg.initial)
     n = cfg.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
@@ -200,12 +201,12 @@ def _no_step(*args, **kwargs):
 
 def test_probe_failure_raises_before_first_step(monkeypatch):
     cfg = small_config()
-    tables = tables_for_mode(cfg, "mf")
+    tables = tables_for_modes(cfg, ["mf"])
     tables.bwd.c_anchor[3] -= 1e3  # K < 0 on [0.375, 0.5) only
     monkeypatch.setattr(simulate, "step", _no_step)
     # first step time at or after 0.375 on the 250-step grid
     with pytest.raises(ProbeError, match=r"at t=0\.376"):
-        run_bridge(cfg, ["mf"], [tables])
+        run_bridge(cfg, ["mf"], tables)
 
 
 def test_run_bridge_rejects_bad_modes_before_first_step(monkeypatch):
@@ -213,8 +214,8 @@ def test_run_bridge_rejects_bad_modes_before_first_step(monkeypatch):
     monkeypatch.setattr(simulate, "step", _no_step)
     with pytest.raises(ValueError, match="'nope'"):
         run_bridge(cfg, ["mf", "nope"])
-    with pytest.raises(ValueError, match="1 tables for 2 modes"):
-        run_bridge(cfg, ["mf", "ia0"], [tables_for_mode(cfg, "mf")])
+    with pytest.raises(ValueError, match="tables hold 1 guidance modes for 2 modes"):
+        run_bridge(cfg, ["mf", "ia0"], tables_for_modes(cfg, ["mf"]))
 
 
 def test_run_bridge_defaults_to_one_mf_linear_report():
