@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
         "saving_vs_ia0": saving,
         "wall_seconds": wall,
         "modes": {m: reports[m].summary() for m in config.modes},
-        "config": config.echo(),
+        "config": asdict(config),
     }
     _write_json(out_dir / "summary.json", summary)
 
@@ -244,7 +245,7 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
     jobs = [(config, v, _point_dir(out, config, v), dump_coefficients) for v in config.sweep_points()]
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_run_point_star, jobs))
+            rows = list(pool.map(_run_point, *zip(*jobs)))
     else:
         rows = [_run_point(*job) for job in jobs]
 
@@ -259,10 +260,6 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
             )
         _write_csv(out / "sweep_table.csv", header, table)
     return out
-
-
-def _run_point_star(job):
-    return _run_point(*job)
 
 
 # ----------------------------------------------------------------------------
@@ -307,7 +304,7 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
         "kappa": spec.kappa, "q": spec.q, "m_tar": spec.m_tar, "sigma_tar": spec.sigma_tar,
         "delta": sol.delta, "rho": None if np.isnan(sol.rho) else sol.rho, "S1": sol.S1,
         "E_mf": mf.total, "E_ia0": e0.total, "E_iam": em.total,
-        "config": config.echo(),
+        "config": asdict(config),
     })
 
 
@@ -372,7 +369,7 @@ def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, 
         "tolerance": tol,
         "max_updates": result.max_updates,
         "max_residual_vs_linear": float(np.max(np.linalg.norm(resid, axis=1))),
-        "config": config.echo(),
+        "config": asdict(config),
     }
     _write_json(out / "summary.json", summary)
     return summary
@@ -400,8 +397,6 @@ def _load(args) -> ExperimentConfig:
         cfg = load_config(args.config)
     elif getattr(args, "preset", None):
         cfg = preset(args.preset)
-    elif getattr(args, "scenario", None):
-        cfg = preset(f"scenario-{args.scenario.lower()}")
     else:
         raise ConfigError("need --preset NAME or --config PATH")
     if getattr(args, "seed", None) is not None:
@@ -450,7 +445,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("density", help="analytic marginal density curves")
     common(p)
-    p.add_argument("--scenario", choices=["A", "B", "a", "b"])
     p.add_argument("--times", default="0.1,0.3,0.5,0.7,1.0")
 
     p = sub.add_parser("guidance-check", help="fixed-point iteration diagnostics")
@@ -489,7 +483,7 @@ def main(argv=None) -> int:
                 v = getattr(args, field_name, None)
                 if v is not None:
                     setattr(cfg.lqg, field_name, v)
-            if args.m_bar_grid:
+            if args.m_bar_grid is not None:
                 cfg.lqg.m_bar_grid = _floats("--m-bar-grid", args.m_bar_grid)
             run_experiment(cfg, out)
             print(f"wrote {out}/lqg.csv")
@@ -516,6 +510,8 @@ def main(argv=None) -> int:
             if errors:
                 raise ConfigError("; ".join(errors))
             times = _floats("--times", args.times)
+            if not times:
+                raise ConfigError("--times: no times given")
             outside = [t for t in times if not 0.0 <= t <= 1.0]
             if outside:
                 raise ConfigError(f"--times must lie in [0, 1], got {outside}")

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import InfeasibleTargetError, NumericalError
 
@@ -35,7 +34,23 @@ __all__ = ["LqgProblem", "LqgSolution", "IaTrajectory", "LqgMetrics", "solve_lqg
 
 DELTA_DEGENERATE = 1e-8
 KAPPA_DEGENERATE = 1e-8  # below it the mean block takes its kappa -> 0 forms
-DENSE_GRID_POINTS = 4001  # composite-Simpson grid for all energy quadratures
+DENSE_GRID_POINTS = 4001  # cumulative-Simpson grid for all energy quadratures
+DENSE_GRID_STEP = 1.0 / (DENSE_GRID_POINTS - 1)
+
+
+def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral from 0 of samples y on a uniform grid of step h (at least 3 samples).
+
+    Step i integrates the quadratic through samples i, i+1, i+2 on even i,
+    and through i-1, i, i+1 on odd i and on the last step.
+    """
+    ahead = h / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])    # step i, quadratic through i..i+2
+    behind = h / 12.0 * (-y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:])  # step i+1, same quadratic
+    steps = np.empty(y.size - 1)
+    steps[:-1:2] = ahead[::2]
+    steps[1::2] = behind[::2]
+    steps[-1] = behind[-1]
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def sinh_ratio(kappa: float, t):
@@ -101,9 +116,6 @@ class LqgSolution:
             return -p.m_tar * (1.0 + self.S(t) * t)
         sh = math.sinh(p.kappa)
         return -p.m_tar * (p.kappa * np.cosh(p.kappa * t) + (p.kappa + self.S(t)) * np.sinh(p.kappa * t)) / sh
-
-    def control_mean(self, t):
-        return -(self.S(t) * self.m(t) + self.s(t))
 
 
 def solve_lqg(problem: LqgProblem) -> LqgSolution:
@@ -182,10 +194,10 @@ def ia_baseline(problem: LqgProblem, solution: LqgSolution, m_bar: float) -> IaT
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite integrating factor in constant-centre quadrature")
     g2 = g * g
-    G2 = cumulative_simpson(g2, x=grid, initial=0.0)
+    G2 = _cumulative_simpson(g2, DENSE_GRID_STEP)
     qsrc = problem.q * m_bar
     if qsrc != 0.0:
-        G2J = cumulative_simpson(g2 * ia.J(grid), x=grid, initial=0.0)
+        G2J = _cumulative_simpson(g2 * ia.J(grid), DENSE_GRID_STEP)
     else:
         G2J = np.zeros_like(grid)
     A_tilde = G2[-1] / g[-1]
@@ -206,13 +218,13 @@ class LqgMetrics:
         return float(self.energy[-1])
 
 
-def lqg_metrics(solution: LqgSolution, s_of_t=None, m_of_t=None, n_points: int = DENSE_GRID_POINTS) -> LqgMetrics:
-    """Instantaneous power and cumulative energy on a dense grid.
+def lqg_metrics(solution: LqgSolution, s_of_t=None, m_of_t=None) -> LqgMetrics:
+    """Instantaneous power and cumulative energy on the dense grid.
 
     Defaults to the mean-coupled trajectories; pass the constant-centre
     s/m evaluators to score a baseline against the shared variance block.
     """
-    grid = np.linspace(0.0, 1.0, n_points)
+    grid = np.linspace(0.0, 1.0, DENSE_GRID_POINTS)
     S = solution.S(grid)
     Sigma = solution.Sigma(grid)
     m = solution.m(grid) if m_of_t is None else m_of_t(grid)
@@ -220,5 +232,5 @@ def lqg_metrics(solution: LqgSolution, s_of_t=None, m_of_t=None, n_points: int =
     P = S * S * Sigma + (S * m + s) ** 2
     if not np.all(np.isfinite(P)):
         raise NumericalError("non-finite power trace")
-    E = cumulative_simpson(P, x=grid, initial=0.0)
+    E = _cumulative_simpson(P, DENSE_GRID_STEP)
     return LqgMetrics(grid, P, E)

@@ -9,7 +9,7 @@ scalability sweeps, and the scalar thermostat benchmark.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class ExperimentConfig:
         if self.sweep_axis == "dimension" and sweep_value is not None:
             return _whole(sweep_value)
         return self.d
-
-    def echo(self) -> dict:
-        out = asdict(self)
-        return out
 
 
 def _whole(value) -> int:
@@ -390,6 +386,8 @@ def validate_config(config: ExperimentConfig) -> list:
             errors.append("lqg: kappa and q must be nonnegative")
         if config.lqg.sigma_tar <= 0:
             errors.append("lqg: sigma_tar must be positive")
+        if not config.lqg.m_bar_grid:
+            errors.append("lqg.m_bar_grid empty")
     if config.target is None:
         return errors
 

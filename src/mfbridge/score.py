@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ProbeError
 from .greens import CoeffTables, KernelCoeffs
@@ -87,10 +86,7 @@ def _sigmas(sigmas) -> np.ndarray:
 
 @dataclass
 class GaussianMixture:
-    """Weighted Gaussian components in d dimensions.
-
-    ``means`` is (K, d); a 1-d ``means`` is one scalar per component (d = 1).
-    """
+    """Weighted Gaussian components in d dimensions: ``means`` (K, d), ``covariances`` (K, d, d)."""
 
     weights: np.ndarray      # (K,)
     means: np.ndarray        # (K, d)
@@ -99,11 +95,7 @@ class GaussianMixture:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).ravel()
         m = np.asarray(self.means, dtype=float)
-        if m.ndim == 1:
-            m = m[:, None]
         c = np.asarray(self.covariances, dtype=float)
-        if c.ndim == 2:
-            c = c[None, :, :] if w.size == 1 else np.array([np.diag(np.atleast_1d(r)) for r in c])
         self.weights, self.means, self.covariances = w, m, c
         if w.size < 1:
             raise ValueError("mixture needs at least one component")
@@ -158,19 +150,28 @@ class GaussianMixture:
 
     def logpdf(self, x) -> np.ndarray:
         """Batch log density, x of shape (n, d) or (d,)."""
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        parts = np.empty((X.shape[0], self.n_components))
-        for k in range(self.n_components):
-            L = np.linalg.cholesky(self.covariances[k])
-            sol = np.linalg.solve(L, (X - self.means[k]).T).T
-            parts[:, k] = (
-                np.log(self.weights[k])
-                - 0.5 * np.sum(sol**2, axis=1)
-                - np.sum(np.log(np.diag(L)))
-                - 0.5 * self.dim * LOG_2PI
-            )
-        out = logsumexp(parts, axis=1)
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        return _mixture_logpdf(np.log(self.weights), self.means, self.covariances, x)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, with the largest term shifted out and summed by log1p."""
+    a_max = np.max(a, axis=-1, keepdims=True)
+    top = a == a_max
+    n_top = np.sum(top, axis=-1)
+    rest = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1) / n_top
+    return np.log1p(rest) + np.log(n_top) + a_max[..., 0]
+
+
+def _mixture_logpdf(log_weights, means, covs, x) -> np.ndarray:
+    """Log density of the mixture (log weights (C,), means (C, d), covariances (C, d, d)) at x, (n, d) or (d,)."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    logs = np.empty((X.shape[0], len(log_weights)))
+    for i, (mean, cov) in enumerate(zip(means, covs)):
+        L = np.linalg.cholesky(cov)
+        sol = np.linalg.solve(L, (X - mean).T).T
+        logs[:, i] = -0.5 * np.sum(sol**2, axis=1) - np.sum(np.log(np.diag(L))) - 0.5 * X.shape[1] * LOG_2PI
+    out = _logsumexp(logs + log_weights)
+    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 BASIS_TOL = 1e-12  # largest off-diagonal / diagonal ratio of a covariance a basis diagonalises
@@ -471,7 +472,7 @@ def _marginal_components(ctx: ScoreContext, t: float):
                 means.append(_from_basis(U, h_eig / M_diag))
                 cov = np.diag(1.0 / M_diag)
                 covs.append(cov if U is None else U @ cov @ U.T)
-        log_ws = np.array(log_ws) - logsumexp(log_ws)
+        log_ws = np.array(log_ws) - _logsumexp(np.array(log_ws))
     else:
         fac_init = co.a_plus - co.lam_plus
         base = (co.theta_plus + co.theta_x) / P
@@ -493,14 +494,5 @@ def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
     from the coefficient tables: K components for a delta start, J x K for a
     mixture start.
     """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    log_ws, means, covs = _marginal_components(ctx, t)
-    logs = np.empty((X.shape[0], log_ws.size))
-    for i, (mean, cov) in enumerate(zip(means, covs)):
-        L = np.linalg.cholesky(cov)
-        sol = np.linalg.solve(L, (X - mean).T).T
-        logs[:, i] = -0.5 * np.sum(sol**2, axis=1) - np.sum(np.log(np.diag(L))) - 0.5 * X.shape[1] * LOG_2PI
-    out = logsumexp(logs + log_ws, axis=1)
-    if not log:
-        out = np.exp(out)
-    return float(out[0]) if np.asarray(x).ndim == 1 else out
+    out = _mixture_logpdf(*_marginal_components(ctx, t), x)
+    return out if log else np.exp(out)

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfbridge
 from mfbridge.cli import main
 from mfbridge.errors import ConfigError
 from mfbridge.presets import (
@@ -221,17 +226,41 @@ def test_zero_size_override_is_rejected(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["density", "--scenario", "B", "--times", "1.5,-0.2"], "--times must lie in [0, 1], got [1.5, -0.2]"),
-    (["density", "--scenario", "B", "--times", "0.5,late"], "--times: could not convert string to float: 'late'"),
+    (["density", "--preset", "scenario-b", "--times", "1.5,-0.2"], "--times must lie in [0, 1], got [1.5, -0.2]"),
+    (["density", "--preset", "scenario-b", "--times", "0.5,late"], "--times: could not convert string to float: 'late'"),
+    (["density", "--preset", "scenario-b", "--times", ""], "--times: no times given"),
+    (["density", "--preset", "scenario-b", "--times", ","], "--times: no times given"),
     (["sweep", "--preset", "d-sweep", "--values", "2,x"], "--values: could not convert"),
     (["sweep", "--preset", "d-sweep", "--values", "", "--particles", "20", "--steps", "20"], "sweep.values empty"),
     (["lqg", "--m-bar-grid", "0,x"], "--m-bar-grid: could not convert"),
-], ids=["times-range", "times-text", "values-text", "values-empty", "m-bar-grid-text"])
+    (["lqg", "--m-bar-grid", ""], "lqg.m_bar_grid empty"),
+    (["lqg", "--m-bar-grid", ","], "lqg.m_bar_grid empty"),
+], ids=["times-range", "times-text", "times-empty", "times-comma", "values-text", "values-empty",
+        "m-bar-grid-text", "m-bar-grid-empty", "m-bar-grid-comma"])
 def test_bad_number_lists_are_config_errors(tmp_path, capsys, args, message):
     out = tmp_path / "run"
     assert main([*args, "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_m_bar_grid_in_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "lqg.cfg"
+    path.write_text("lqg.m_bar_grid =\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "lqg.m_bar_grid empty" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(["lqg", "--config", str(path), "--out", str(out)]) == 1
+    assert "lqg.m_bar_grid empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests' references
+    code = "import sys, mfbridge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mfbridge.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_bridge_outputs(tmp_path):
@@ -276,7 +305,7 @@ def test_cli_sweep_table(tmp_path):
 
 def test_cli_density(tmp_path):
     out = tmp_path / "dens"
-    rc = main(["density", "--scenario", "B", "--times", "0.25,0.75",
+    rc = main(["density", "--preset", "scenario-b", "--times", "0.25,0.75",
                "--steps", "200", "--out", str(out)])
     assert rc == 0
     with open(out / "density.csv") as fh:

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from mfbridge.errors import InfeasibleTargetError
-from mfbridge.lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
+from mfbridge.lqg import DENSE_GRID_POINTS, LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 
 BENCH = LqgProblem(kappa=0.8, q=2.0, m_tar=1.5, sigma_tar=0.3)
 
@@ -153,6 +153,24 @@ def test_energy_matches_monte_carlo():
     met = lqg_metrics(sol)
     mc, se = oracles.simulate_affine_bridge(BENCH.kappa, sol.S, sol.s, n_particles=8000, seed=99)
     assert abs(mc - met.total) < 3 * se + 0.01 * met.total
+
+
+@pytest.mark.parametrize("problem", [BENCH, LqgProblem(0.0, 0.5, -1.0, 0.7)], ids=["default", "kappa0"])
+def test_cumulative_simpson_matches_scipy(problem):
+    # the package's own rule against scipy on the three integrands it takes:
+    # g^2 and g^2 J of a constant-centre baseline, and the power P
+    from scipy.integrate import cumulative_simpson
+
+    from mfbridge.lqg import _cumulative_simpson
+
+    sol = solve_lqg(problem)
+    ia = ia_baseline(problem, sol, 0.5 * problem.m_tar)
+    grid = np.linspace(0.0, 1.0, DENSE_GRID_POINTS)
+    g2 = ia.g(grid) ** 2
+    for y in (g2, g2 * ia.J(grid), lqg_metrics(sol).power, lqg_metrics(sol, s_of_t=ia.s, m_of_t=ia.m).power):
+        want = cumulative_simpson(y, x=grid, initial=0.0)
+        got = _cumulative_simpson(y, grid[1] - grid[0])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_variance_block_shared_between_coupled_and_constant_centre():

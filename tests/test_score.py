@@ -58,6 +58,11 @@ def test_mixture_shapes_are_strict():
         GaussianMixture.isotropic([0.5, 0.5], np.zeros((3, 2)), [0.1, 0.1])
     with pytest.raises(ValueError, match="not \\(K, d\\)"):
         GaussianMixture([0.5, 0.5], np.zeros((3, 2)), np.stack([np.eye(3)] * 2))
+    # a 1-d means or 2-d covariances is not taken as d = 1 or K = 1
+    with pytest.raises(ValueError, match="not \\(K, d\\)"):
+        GaussianMixture([0.5, 0.5], [0.0, 1.0], np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="covariance shape"):
+        GaussianMixture([1.0], np.zeros((1, 2)), np.eye(2))
     with pytest.raises(ValueError, match="at least one component"):
         GaussianMixture.isotropic([], [], [])
     with pytest.raises(ValueError, match="d >= 1"):
