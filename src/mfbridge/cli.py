@@ -62,6 +62,11 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _column(values, spec: str) -> list:
+    """Every entry of an array (flattened) formatted with one format spec."""
+    return list(map(f"{{:{spec}}}".format, np.ravel(values).tolist()))
+
+
 def _write_json(path: Path, obj: dict) -> None:
     with _atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -116,15 +121,12 @@ def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
     header = (["t", "a_plus", "a_minus", "b_minus", "c_minus"]
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
               + [f"theta_y_{i}" for i in range(d)] + ["lambda_plus", "lambda_x", "lambda_y"])
+    shared = [_column(table.t, ".6f")] + [_column(v, ".10g") for v in (table.a_plus, table.a, table.b, table.c)]
+    lams = [_column(v, ".10g") for v in (table.lam_plus, table.lam_x, table.lam_y)]
     for i, m in enumerate(modes):
-        rows = []
-        for j in range(table.t.size):
-            co = table.row(j)
-            rows.append([f"{co.t:.6f}"]
-                        + [f"{v:.10g}" for v in (co.a_plus, co.a, co.b, co.c)]
-                        + [f"{v:.10g}" for v in np.concatenate([co.theta_plus[i], co.theta_x[i], co.theta_y[i]])]
-                        + [f"{v:.10g}" for v in (co.lam_plus, co.lam_x, co.lam_y)])
-        _write_csv(out_dir / f"coefficients_{m}.csv", header, rows)
+        thetas = [_column(field[:, i, k], ".10g")
+                  for field in (table.theta_plus, table.theta_x, table.theta_y) for k in range(d)]
+        _write_csv(out_dir / f"coefficients_{m}.csv", header, zip(*shared, *thetas, *lams))
 
 
 def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coefficients: bool = False) -> dict:
@@ -145,21 +147,14 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
     n = config.n_steps
     stride = max(1, n // 500)
-    ts = np.arange(n + 1) / n
+    steps = np.arange(0, n + 1, stride)
+    t_col = _column(steps / n, ".6f")
 
-    # energy.csv: t then P_/E_ per mode
+    # energy.csv: t then P_/E_ per mode; the last time repeats the last step's power
     header = ["t"] + [f"P_{m}" for m in config.modes] + [f"E_{m}" for m in config.modes]
-    rows = []
-    for j in range(0, n + 1, stride):
-        row = [f"{ts[j]:.6f}"]
-        for m in config.modes:
-            rep = reports[m]
-            p = rep.power[min(j, n - 1)]
-            row.append(f"{p:.8g}")
-        for m in config.modes:
-            row.append(f"{reports[m].energy_trace[j]:.8g}")
-        rows.append(row)
-    _write_csv(out_dir / "energy.csv", header, rows)
+    columns = ([t_col] + [_column(reports[m].power[np.minimum(steps, n - 1)], ".8g") for m in config.modes]
+               + [_column(reports[m].energy_trace[::stride], ".8g") for m in config.modes])
+    _write_csv(out_dir / "energy.csv", header, zip(*columns))
 
     # terminal.csv: per-component moments per mode
     rows = []
@@ -180,7 +175,6 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
     # trajectories.csv: subsampled paths, one format string per row; the
     # fields need no quoting, so this is the text csv.writer would write
-    t_col = [f"{t:.6f}" for t in ts[::stride]]
     row_fmt = ",".join(["{},{},{}"] + ["{:.6g}"] * d) + "\r\n"
     with _atomic_open(out_dir / "trajectories.csv") as fh:
         csv.writer(fh).writerow(["mode", "path", "t"] + [f"x_{i}" for i in range(d)])
@@ -195,12 +189,9 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     if d > 1:
         rows = [[m, z, f"{reports[m].zone_energy[z]:.8g}"] for m in config.modes for z in range(d)]
         _write_csv(out_dir / "zone_energy.csv", ["mode", "zone", "energy"], rows)
-        rows = []
-        for m in config.modes:
-            rep = reports[m]
-            for j in range(0, n + 1, stride):
-                for z in range(d):
-                    rows.append([m, f"{ts[j]:.6f}", z, f"{rep.mean_trace[j, z]:.6g}"])
+        keys = [(t, z) for t in t_col for z in range(d)]   # the (time, zone) order of mean_trace.ravel()
+        rows = [[m, t, z, v] for m in config.modes
+                for (t, z), v in zip(keys, _column(reports[m].mean_trace[::stride], ".6g"))]
         _write_csv(out_dir / "zone_means.csv", ["mode", "t", "zone", "mean"], rows)
 
     totals = {m: reports[m].total for m in config.modes}
@@ -277,21 +268,16 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
     e0 = lqg_metrics(sol, s_of_t=ia0.s, m_of_t=ia0.m)
     em = lqg_metrics(sol, s_of_t=iam.s, m_of_t=iam.m)
 
-    grid = mf.grid
-    stride = max(1, (grid.size - 1) // 1000)
-    rows = []
-    for j in range(0, grid.size, stride):
-        t = grid[j]
-        rows.append([
-            f"{t:.6f}", f"{sol.S(t):.8g}", f"{sol.Sigma(t):.8g}",
-            f"{sol.m(t):.8g}", f"{sol.s(t):.8g}", f"{ia0.s(t):.8g}", f"{iam.s(t):.8g}",
-            f"{mf.power[j]:.8g}", f"{e0.power[j]:.8g}", f"{em.power[j]:.8g}",
-            f"{mf.energy[j]:.8g}", f"{e0.energy[j]:.8g}", f"{em.energy[j]:.8g}",
-        ])
+    # every column on one strided sample of the dense grid
+    stride = max(1, (mf.grid.size - 1) // 1000)
+    t = mf.grid[::stride]
+    values = (sol.S(t), sol.Sigma(t), sol.m(t), sol.s(t), ia0.s(t), iam.s(t),
+              mf.power[::stride], e0.power[::stride], em.power[::stride],
+              mf.energy[::stride], e0.energy[::stride], em.energy[::stride])
     _write_csv(out / "lqg.csv",
                ["t", "S", "Sigma", "m_mf", "s_mf", "s_ia0", "s_iam",
                 "P_mf", "P_ia0", "P_iam", "E_mf", "E_ia0", "E_iam"],
-               rows)
+               zip(_column(t, ".6f"), *(_column(v, ".8g") for v in values)))
 
     sweep_rows = []
     for m_bar in spec.m_bar_grid:
@@ -328,12 +314,11 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
             lo, hi = min(lo, np.min(means[:, 0] - half)), max(hi, np.max(means[:, 0] + half))
     xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)[:, None]
 
-    cols = {(m, t): marginal_density(ctx, t, xs) for m, ctx in ctxs.items() for t in times}
-
+    x_col = _column(xs, ".6f")
     rows = []
     for t in times:
-        for i, x in enumerate(xs[:, 0]):
-            rows.append([f"{t:.4f}", f"{x:.6f}"] + [f"{cols[(m, t)][i]:.8g}" for m in config.modes])
+        curves = [_column(marginal_density(ctx, t, xs), ".8g") for ctx in ctxs.values()]
+        rows.extend([f"{t:.4f}", x, *ps] for x, *ps in zip(x_col, *curves))
     _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in config.modes], rows)
 
 

@@ -107,8 +107,9 @@ class GaussianMixture:
             raise ValueError("non-finite component mean")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum {w.sum():.12g} != 1")
-        if np.any(w < 0):
-            raise ValueError("negative mixture weight")
+        bad = np.flatnonzero(~(w > 0))   # also catches nan, which the sum check lets through
+        if bad.size:
+            raise ValueError(f"mixture weight {bad[0]} is {w[bad[0]]:g}; every weight must be positive")
         if c.shape != (w.size, m.shape[1], m.shape[1]):
             raise ValueError(f"covariance shape {c.shape} inconsistent with {w.size} components in d={m.shape[1]}")
         for k, ck in enumerate(c):

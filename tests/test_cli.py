@@ -139,6 +139,21 @@ def test_validate_reports_non_pd():
     assert any("non-PD" in e for e in errors)
 
 
+@pytest.mark.parametrize("spec", ["target", "initial"])
+def test_zero_weight_fails_validate(tmp_path, capsys, spec):
+    # a zero weight would reach log(0) in the score; it is refused up front
+    path = tmp_path / "zero.cfg"
+    weights = {"target": "0.6, 0.4", "initial": "0.6, 0.4", spec: "1.0, 0.0"}
+    path.write_text("".join(f"{name}.weights = {w}\n{name}.means = 0.0, 1.0\n{name}.sigmas = 0.2, 0.3\n"
+                            for name, w in weights.items()))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert f"{spec}: mixture weight 1 is 0" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(["bridge", "--config", str(path), "--particles", "10", "--steps", "10", "--out", str(out)]) == 1
+    assert f"{spec}: mixture weight 1 is 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_clean_preset_passes():
     assert validate_config(preset("scenario-a")) == []
 
@@ -163,6 +178,35 @@ def test_cli_lqg_csv(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["E_mf"] < summary["E_ia0"]
     assert (out / "lqg_mbar_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kappa, q, m_tar, sigma_tar", [
+    (0.8, 2.0, 1.5, 0.3),    # general branch
+    (0.0, 0.5, -1.0, 0.7),   # kappa < 1e-8, q > 0: the mean block's kappa -> 0 forms
+    (0.0, 0.0, 1.5, 0.6),    # Delta < 1e-8: the Brownian-bridge limit
+], ids=["general", "kappa0", "delta0"])
+def test_lqg_csv_rows_match_the_evaluators(tmp_path, kappa, q, m_tar, sigma_tar):
+    from mfbridge.lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
+
+    out = tmp_path / "lqg"
+    assert main(["lqg", f"--kappa={kappa}", f"--q={q}", f"--m-tar={m_tar}", f"--sigma-tar={sigma_tar}",
+                 "--out", str(out)]) == 0
+    with open(out / "lqg.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    problem = LqgProblem(kappa, q, m_tar, sigma_tar)
+    sol = solve_lqg(problem)
+    ia0, iam = ia_baseline(problem, sol, 0.0), ia_baseline(problem, sol, m_tar)
+    mf = lqg_metrics(sol)
+    e0 = lqg_metrics(sol, s_of_t=ia0.s, m_of_t=ia0.m)
+    em = lqg_metrics(sol, s_of_t=iam.s, m_of_t=iam.m)
+    assert len(rows) == 1001   # every 4th point of the 4001-point grid
+    assert [row[0] for row in rows] == [f"{t:.6f}" for t in mf.grid[::4]]
+    for j in range(0, 1001, 37):
+        i, t = 4 * j, mf.grid[4 * j]
+        want = [f"{v:.8g}" for v in (sol.S(t), sol.Sigma(t), sol.m(t), sol.s(t), ia0.s(t), iam.s(t),
+                                      mf.power[i], e0.power[i], em.power[i],
+                                      mf.energy[i], e0.energy[i], em.energy[i])]
+        assert rows[j][1:] == want, j
 
 
 def test_mode_names_round_trip(tmp_path):
@@ -466,6 +510,27 @@ def test_cli_dump_coefficients(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[:5] == ["t", "a_plus", "a_minus", "b_minus", "c_minus"]
     assert "lambda_y" in header
+
+
+def test_dump_coefficients_rows_match_the_table(tmp_path):
+    import mfbridge.cli as climod
+    from mfbridge.simulate import tables_for_modes
+
+    cfg = preset("scenario-b")
+    cfg.d, cfg.modes, cfg.n_particles, cfg.n_steps = 2, ["mf", "iam"], 20, 1200
+    climod._run_point(cfg, None, tmp_path, dump_coefficients=True)
+    n = cfg.n_steps
+    table = tables_for_modes(climod._sim_config(cfg), cfg.modes).sample(np.arange(1, n, 2) / n)
+    for i, m in enumerate(cfg.modes):
+        with open(tmp_path / f"coefficients_{m}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][5:7] == ["theta_plus_0", "theta_plus_1"] and len(rows) == 1 + table.t.size
+        for j in range(table.t.size):
+            co = table.row(j)
+            want = ([f"{co.t:.6f}"] + [f"{v:.10g}" for v in (co.a_plus, co.a, co.b, co.c)]
+                    + [f"{v:.10g}" for v in (*co.theta_plus[i], *co.theta_x[i], *co.theta_y[i])]
+                    + [f"{v:.10g}" for v in (co.lam_plus, co.lam_x, co.lam_y)])
+            assert rows[1 + j] == want, (m, j)
 
 
 @pytest.mark.parametrize("write", ["csv", "json"])

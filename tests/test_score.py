@@ -69,6 +69,9 @@ def test_mixture_shapes_are_strict():
         GaussianMixture.isotropic([0.5, 0.5], np.zeros((2, 0)), [0.1, 0.1])
     with pytest.raises(ValueError, match="sigma <= 0"):
         GaussianMixture.isotropic([0.5, 0.5], [0.0, 1.0], [0.1, -0.1])
+    for weights in ([1.0, 0.0], [1.5, -0.5], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="every weight must be positive"):
+            GaussianMixture.isotropic(weights, [0.0, 1.0], [0.1, 0.1])
     gm = GaussianMixture.isotropic([0.6, 0.4], [0.0, 1.5], [0.2, 0.3])  # 1-d list: one scalar each
     assert gm.means.shape == (2, 1)
     gm = GaussianMixture.spatial_ar1([0.6, 0.4], [0.0, 1.5], [0.2, 0.3], rho=0.5, d=3)
