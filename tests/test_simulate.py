@@ -1,3 +1,5 @@
+import functools
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import mfbridge.simulate as simulate
 from mfbridge.errors import ProbeError
+from mfbridge.presets import preset
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
 from mfbridge.simulate import (GUIDANCE_MODES, SimConfig, mode_guidance, run_bridge, sample_initial,
@@ -242,3 +245,60 @@ def test_stacked_run_equals_single_runs():
             assert rep.component_energy[k][1] == pytest.approx(se, rel=1e-13, abs=0)
     totals = [r.total for r in stacked]
     assert len(set(totals)) == len(totals)
+
+
+# ----------------------------------------------------------------------------
+# pinned results: a change to the step loop that keeps every floating-point
+# operation leaves these bits as they are
+# ----------------------------------------------------------------------------
+
+def _preset_config(name, **kw):
+    exp = preset(name)
+    initial, target = exp.mixtures(None)
+    return SimConfig(target=target, schedule=exp.schedule(), initial=initial, **kw)
+
+
+def _two_basis_config(**kw):
+    # an isotropic component on the identity and one general SPD component on its own eigenbasis
+    A = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.5]])
+    target = GaussianMixture(np.array([0.6, 0.4]), np.array([[0.0, 0.2, -0.1], [1.5, 1.0, 1.2]]),
+                             np.array([0.09 * np.eye(3), 0.2 * A]))
+    initial = GaussianMixture.isotropic([0.5, 0.5], [[1.5, 2.0, 1.0], [4.0, 3.5, 5.0]], [0.5, 0.7])
+    return SimConfig(target=target, schedule=geometric_schedule(12.0, 0.65, 8), initial=initial, **kw)
+
+
+# name -> (config builder, modes, {mode: (total, zone energies)} as float.hex, digest of the traces)
+GOLDEN = {
+    "scenario-b": (functools.partial(_preset_config, "scenario-b"), ("mf", "ia0", "iam"), {
+        "mf": ("0x1.8745cbf76cf54p+3", ["0x1.8745cbf76cf53p+3"]),
+        "ia0": ("0x1.ec2b3183a11bep+3", ["0x1.ec2b3183a11b8p+3"]),
+        "iam": ("0x1.bbfb932b4d975p+3", ["0x1.bbfb932b4d976p+3"]),
+    }, "3e445bc3a145e42d"),
+    "scenario-a": (functools.partial(_preset_config, "scenario-a"), ("mf", "ia0", "iam", "cl"), {
+        "mf": ("0x1.d9da3e662612bp+4", ["0x1.d9da3e662612bp+4"]),
+        "ia0": ("0x1.efd60b9fc9f18p+4", ["0x1.efd60b9fc9f19p+4"]),
+        "iam": ("0x1.df0bd79e2fdfbp+4", ["0x1.df0bd79e2fdfcp+4"]),
+        "cl": ("0x1.d5471a932e9cap+4", ["0x1.d5471a932e9ccp+4"]),
+    }, "d9e75ad656e2a75e"),
+    "two-bases-d3": (_two_basis_config, ("mf", "ia0", "cl"), {
+        "mf": ("0x1.dcfa30eb64cb6p+4", ["0x1.06deec4499176p+3", "0x1.f9e6e4fda399bp+2", "0x1.b62203135eb29p+3"]),
+        "ia0": ("0x1.36324f462feb2p+5", ["0x1.642d3806ac479p+3", "0x1.5677056d9518bp+3", "0x1.0f127fd23f25fp+4"]),
+        "cl": ("0x1.df33a121bfb60p+4", ["0x1.0831553e23888p+3", "0x1.fc626343adf28p+2", "0x1.b804bb6384ea0p+3"]),
+    }, "5bda03dffef54377"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_energies_are_bit_identical_to_the_pinned_run(name):
+    make, modes, want, trace_digest = GOLDEN[name]
+    cfg = make(n_particles=64, n_steps=200, seed=11)
+    if name == "two-bases-d3":
+        assert [U is None for U, _ in ScoreContext(tables_for_modes(cfg, ["mf"]), cfg.target).bases] == [True, False]
+    reports = run_bridge(cfg, modes)
+    got = {r.guidance_mode: (r.total.hex(), [float(v).hex() for v in r.zone_energy]) for r in reports}
+    assert got == want
+    digest = hashlib.sha256()
+    for r in reports:
+        for a in (r.power, r.mean_trace, r.std_trace, r.trajectories, r.particle_energy):
+            digest.update(a.tobytes())
+    assert digest.hexdigest()[:16] == trace_digest
