@@ -173,14 +173,21 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
                rows)
 
-    # trajectories.csv: subsampled paths, one format string per row; the
-    # fields need no quoting, so this is the text csv.writer would write
-    row_fmt = ",".join(["{},{},{}"] + ["{:.6g}"] * d) + "\r\n"
+    # trajectories.csv: subsampled paths; each row's positions are formatted
+    # in one pass over the mode's (rows, d) array and joined under a
+    # "mode,path," prefix per path and the shared time column.  The fields
+    # need no quoting, so this is the text csv.writer would write
+    t_lead = [f"{t}," for t in t_col]
+    x_fmt = ",".join(["{:.6g}"] * d)
     with _atomic_open(out_dir / "trajectories.csv") as fh:
         csv.writer(fh).writerow(["mode", "path", "t"] + [f"x_{i}" for i in range(d)])
         for m in config.modes:
-            for pid, path in enumerate(reports[m].trajectories[:, ::stride].tolist()):
-                fh.writelines(row_fmt.format(m, pid, t, *x) for t, x in zip(t_col, path))
+            paths = reports[m].trajectories[:, ::stride]     # (paths, times, d)
+            cells = list(map(x_fmt.format, *paths.reshape(-1, d).T.tolist()))
+            for pid in range(paths.shape[0]):
+                prefix = f"{m},{pid},"
+                rows = map(str.__add__, t_lead, cells[pid * len(t_lead):(pid + 1) * len(t_lead)])
+                fh.write(prefix + f"\r\n{prefix}".join(rows) + "\r\n")
 
     if affine:
         _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"],

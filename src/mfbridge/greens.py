@@ -269,8 +269,11 @@ class KernelCoeffs:
     nu: np.ndarray
 
     def row(self, j: int) -> "KernelCoeffs":
-        # the instance dict holds exactly the fields, in declaration order
-        return type(self)(*(v[j] for v in vars(self).values()))
+        # every instance attribute is a field; filling the row's dict skips
+        # the frozen __init__, which would set each field through object.__setattr__
+        out = object.__new__(type(self))
+        vars(out).update({name: v[j] for name, v in vars(self).items()})
+        return out
 
 
 @dataclass

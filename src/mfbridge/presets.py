@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .greens import build_tables
+from .lqg import LqgProblem, solve_lqg
 from .schedule import geometric_schedule
 from .score import GaussianMixture
 from .simulate import GUIDANCE_MODES
@@ -388,6 +389,13 @@ def validate_config(config: ExperimentConfig) -> list:
             errors.append("lqg: sigma_tar must be positive")
         if not config.lqg.m_bar_grid:
             errors.append("lqg.m_bar_grid empty")
+        if not errors:
+            # the closed form is cheap: a target variance off the admissible branch fails here
+            spec = config.lqg
+            try:
+                solve_lqg(LqgProblem(spec.kappa, spec.q, spec.m_tar, spec.sigma_tar))
+            except NumericalError as exc:
+                errors.append(f"lqg.sigma_tar = {spec.sigma_tar}: {exc}")
     if config.target is None:
         return errors
 

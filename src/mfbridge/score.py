@@ -154,6 +154,12 @@ class GaussianMixture:
         return _mixture_logpdf(np.log(self.weights), self.means, self.covariances, x)
 
 
+def _rows(x) -> np.ndarray:
+    """Positions as float rows (n, d); a float array of rows passes through as it is."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 2 else np.atleast_2d(x)
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, with the largest term shifted out and summed by log1p."""
     a_max = np.max(a, axis=-1, keepdims=True)
@@ -165,7 +171,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 def _mixture_logpdf(log_weights, means, covs, x) -> np.ndarray:
     """Log density of the mixture (log weights (C,), means (C, d), covariances (C, d, d)) at x, (n, d) or (d,)."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    X = _rows(x)
     logs = np.empty((X.shape[0], len(log_weights)))
     for i, (mean, cov) in enumerate(zip(means, covs)):
         L = np.linalg.cholesky(cov)
@@ -243,6 +249,18 @@ def _shared_bases(covariances: np.ndarray):
 def _work(X: np.ndarray, work: np.ndarray | None) -> np.ndarray:
     """``work``, or a fresh (WORK_SLOTS, n, d) array for the positions X (n, d)."""
     return np.empty((WORK_SLOTS, *X.shape)) if work is None else work
+
+
+def _contract(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ B into ``out``, B a matrix or a vector; a contraction of length 1 is taken elementwise.
+
+    Both give the one product per entry, but numpy's matmul has a much larger
+    fixed cost on the length-1 contractions of one zone, such as the (K, 1)
+    @ (1, n) log-weight terms.
+    """
+    if A.shape[-1] != 1:
+        return np.matmul(A, B, out=out)
+    return np.multiply(A, B, out=out) if B.ndim > 1 else np.multiply(A[..., 0], B[0], out=out)
 
 
 def _to_basis(U, A):
@@ -348,17 +366,24 @@ class ScoreContext:
             ups += (1.0 - co.ups_x) * delta
         return work[0], work[1]
 
-    def _posterior(self, co: ScoreCoeffs, w: np.ndarray, work: np.ndarray | None = None):
+    def _posterior(self, co: ScoreCoeffs, w: np.ndarray, work: np.ndarray | None = None,
+                   post: np.ndarray | None = None):
         """Responsibilities (K, n), in basis order, and the posterior mean (n, d) for probes w.
 
-        The squared probes and the mean's terms go to work[2] and work[4],
-        the mean itself to work[3].
+        The log-weights are built in post[0] (2, K, n) and turned into the
+        responsibilities in place, with one product in post[1].  The squared
+        probes and the mean's terms go to work[2] and work[4], the mean
+        itself to work[3].  None allocates either array.
         """
         work = _work(w, work)
+        p, term = np.empty((2, self._lam.shape[0], w.shape[0])) if post is None else post
         rotated = [_to_basis(U, w) for U, _ in self.bases]
-        log_w = np.concatenate([co.post_quad[sl] @ np.multiply(pw, pw, out=work[2]).T + co.post_lin[sl] @ pw.T
-                                + co.post_const[sl, None] for pw, (_, sl) in zip(rotated, self.bases)])
-        p = np.exp(log_w - log_w.max(axis=0))
+        for pw, (_, sl) in zip(rotated, self.bases):
+            log_w = _contract(co.post_quad[sl], np.multiply(pw, pw, out=work[2]).T, p[sl])
+            log_w += _contract(co.post_lin[sl], pw.T, term[sl])
+            log_w += co.post_const[sl, None]
+        p -= p.max(axis=0)
+        np.exp(p, out=p)
         p /= p.sum(axis=0)
         y_hat = work[3]
         for i, (pw, (U, sl)) in enumerate(zip(rotated, self.bases)):
@@ -372,28 +397,29 @@ class ScoreContext:
 
     def responsibilities(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
         """Posterior responsibilities (n, K) of the target components, in component order."""
-        w, _ = self._affine_inputs(co, np.atleast_2d(np.asarray(X, dtype=float)), Z, None)
+        w, _ = self._affine_inputs(co, _rows(X), Z, None)
         p, _ = self._posterior(co, w)
         out = np.empty(p.T.shape)
         out[:, self._order] = p.T
         return out
 
     def score_batch(self, co: ScoreCoeffs, X: np.ndarray, Z: np.ndarray | None = None, nu_hat=None,
-                    work: np.ndarray | None = None) -> np.ndarray:
+                    work: np.ndarray | None = None, post: np.ndarray | None = None) -> np.ndarray:
         """Drift for a batch of positions X (B, d) at the coefficient row ``co``.
 
         Z carries per-particle shifts; ``co`` comes from ``coeffs(t)`` or a
         row of ``coeff_table``.  The intermediates and the drift, returned
         as the view work[3], are written into ``work``, (WORK_SLOTS, n, d)
-        for X of n rows; None allocates a fresh one.  A run passes the same
-        array every step, so the step's memory stays mapped.
+        for X of n rows, and the posterior's log-weights into ``post``,
+        (2, K, n); None allocates a fresh one.  A run passes the same arrays
+        every step, so the step's memory stays mapped.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _rows(X)
         if Z is not None:
-            Z = np.atleast_2d(np.asarray(Z, dtype=float))
+            Z = _rows(Z)
         work = _work(X, work)
         w, ups = self._affine_inputs(co, X, Z, nu_hat, work)
-        _, u = self._posterior(co, w, work)
+        _, u = self._posterior(co, w, work, post)
         u -= ups
         u *= co.b
         return u
@@ -406,7 +432,7 @@ class ScoreContext:
 def probe(ctx: ScoreContext, t: float, x) -> tuple[float, np.ndarray]:
     """(K_t, probe mean) at one position."""
     co = ctx.coeffs(t)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    X = _rows(x)
     w, _ = ctx._affine_inputs(co, X, None, None)
     return co.K, w[0]
 
@@ -414,7 +440,7 @@ def probe(ctx: ScoreContext, t: float, x) -> tuple[float, np.ndarray]:
 def posterior(ctx: ScoreContext, t: float, x):
     """(responsibilities, per-component posterior means, mixture estimate)."""
     co = ctx.coeffs(t)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    X = _rows(x)
     w, _ = ctx._affine_inputs(co, X, None, None)
     p, y_hat = ctx._posterior(co, w)
     pi = np.empty(ctx.target.n_components)
@@ -427,14 +453,13 @@ def posterior(ctx: ScoreContext, t: float, x):
 
 def score_at(ctx: ScoreContext, t: float, x) -> np.ndarray:
     """Optimal drift at one position (zero-start problem)."""
-    u = ctx.score_batch(ctx.coeffs(t), np.atleast_2d(np.asarray(x, dtype=float)))
+    u = ctx.score_batch(ctx.coeffs(t), x)
     return u[0]
 
 
 def shifted_score(ctx: ScoreContext, t: float, x, z) -> np.ndarray:
     """Optimal drift for a trajectory started at z instead of the origin."""
-    u = ctx.score_batch(ctx.coeffs(t), np.atleast_2d(np.asarray(x, dtype=float)),
-                        np.atleast_2d(np.asarray(z, dtype=float)))
+    u = ctx.score_batch(ctx.coeffs(t), x, z)
     return u[0]
 
 

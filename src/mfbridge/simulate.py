@@ -9,17 +9,23 @@ Conventions:
   * noise comes from counter-based streams keyed by (seed, stream id), one
     stream per step plus one for the initial draw, so runs are bit-for-bit
     reproducible regardless of how particles are partitioned over workers;
+    a run holds one Philox generator and re-keys it to each step's stream
+    (counter 0, empty buffer), which draws exactly what a new generator on
+    that key would;
   * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
     to compare on it.  Their guidance reaches the run only through one
     ``CoeffTables`` that stacks it.  The modes advance together: their
     positions are stacked as one group of rows per mode, and the initial
     draw and each step's (B, d) draw are made once and shared, which is
     exactly what separate runs with the same seed would draw; every step
-    writes its (M B, d) intermediates into one work array of the run.
+    writes its (M B, d) intermediates into one work array of the run and
+    the posterior's (K, M B) log-weights into another.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -30,7 +36,7 @@ from .errors import DivergedError
 from .greens import CoeffTables, build_tables, DEFAULT_N_STEPS
 from .guidance import linear_guidance
 from .schedule import PwcSchedule
-from .score import WORK_SLOTS, GaussianMixture, KernelCoeffs, ScoreContext
+from .score import WORK_SLOTS, GaussianMixture, KernelCoeffs, ScoreContext, _contract
 
 __all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES", "N_SAVED_PATHS",
            "mode_guidance", "tables_for_modes", "sample_initial", "step", "run_bridge"]
@@ -43,9 +49,22 @@ N_SAVED_PATHS = 50   # particles per mode whose whole paths a report keeps
 _SEED_MASK = (1 << 64) - 1
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    key = np.array([seed & _SEED_MASK, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed: int):
+    """Stream id -> the one Generator of a run, its Philox re-keyed to (seed, stream id).
+
+    Each call resets the bit generator to the state ``Philox(key=[seed &
+    mask, stream id])`` starts in (counter 0, no buffered or half-used
+    word), so its draws are that stream's; no generator is built per call.
+    """
+    bitgen = np.random.Philox(key=np.array([seed & _SEED_MASK, 0], dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+
+    def stream(stream_id: int) -> np.random.Generator:
+        fresh["state"]["key"][1] = stream_id
+        bitgen.state = fresh
+        return gen
+    return stream
 
 
 @dataclass
@@ -130,15 +149,23 @@ def sample_initial(config: SimConfig, rng: np.random.Generator, n_modes: int = 1
                          np.zeros(n_modes * B), np.zeros((n_modes, d)))
 
 
+@functools.lru_cache(maxsize=4)
+def _ones(n: int) -> np.ndarray:
+    """A read-only vector of n ones, the summing vector of the particle means and energies."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def _particle_mean(by_mode: np.ndarray) -> np.ndarray:
     """(M, B, d) -> (M, d): the mean over each mode's particles."""
-    return np.ones(by_mode.shape[1]) @ by_mode / by_mode.shape[1]
+    return _ones(by_mode.shape[1]) @ by_mode / by_mode.shape[1]
 
 
-def _mean_std(by_mode: np.ndarray):
-    """Mean and standard deviation over the particles of each mode, (M, d) each."""
+def _mean_std(by_mode: np.ndarray, out: np.ndarray):
+    """Mean and standard deviation over the particles of each mode, (M, d) each; ``out`` takes the deviations."""
     mean = _particle_mean(by_mode)
-    dev = by_mode - mean[:, None, :]
+    dev = np.subtract(by_mode, mean[:, None, :], out=out.reshape(by_mode.shape))
     dev *= dev
     return mean, np.sqrt(_particle_mean(dev))
 
@@ -149,34 +176,38 @@ def _first_bad_row(values: np.ndarray, n_particles: int) -> str:
 
 
 def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, rng: np.random.Generator,
-         work: np.ndarray, closed_loop: np.ndarray | None = None) -> EnsembleState:
+         work: np.ndarray, post: np.ndarray, closed_loop: np.ndarray | None = None) -> EnsembleState:
     """One Euler-Maruyama update of every mode at row ``state.step_index`` of the step table.
 
     One (B, d) normal draw from ``rng`` is added to every mode's rows.
-    ``work`` (WORK_SLOTS, M B, d) takes the drift and every intermediate.
-    ``closed_loop`` marks the modes whose kernel slots re-centre at their
-    batch mean (None: no mode).  Mutates and returns ``state``.
+    ``work`` (WORK_SLOTS, M B, d) takes the drift and every intermediate,
+    ``post`` (2, K, M B) the posterior's log-weights.  ``closed_loop``
+    marks the modes whose kernel slots re-centre at their batch mean (None:
+    no mode).  Mutates and returns ``state``.
     """
-    t = state.step_index * dt
     M = ctx.n_modes
-    d = state.positions.shape[1]
-    B = state.positions.shape[0] // M
+    n, d = state.positions.shape
+    B = n // M
     co = table.row(state.step_index)
     by_mode = state.positions.reshape(M, B, d)
     nu_hat = None
     if closed_loop is not None:
         nu_hat = np.where(closed_loop[:, None], _particle_mean(by_mode), co.nu.reshape(M, d))
-    u = ctx.score_batch(co, state.positions, state.shifts, nu_hat, work)
-    if not np.all(np.isfinite(u)):
-        raise DivergedError(f"non-finite drift for {_first_bad_row(u, B)} at t={t:.6f}")
+    u = ctx.score_batch(co, state.positions, state.shifts, nu_hat, work, post)
     uu = np.multiply(u, u, out=work[0])
-    state.energy += uu @ np.ones(d) * dt
+    gained = _contract(uu, _ones(d), work[1].reshape(-1)[:n])
+    gained *= dt
+    state.energy += gained
     state.zone_energy += _particle_mean(uu.reshape(M, B, d)) * dt
     xi = rng.standard_normal(out=work[2][:B])
     increment = np.multiply(u, dt, out=work[1]).reshape(M, B, d)
-    increment += np.multiply(np.sqrt(dt), xi, out=xi)
+    increment += np.multiply(math.sqrt(dt), xi, out=xi)
     by_mode += increment
-    if not np.all(np.isfinite(state.positions)):
+    # one scan per step: a non-finite drift always leaves a non-finite position
+    if not np.isfinite(state.positions).all():
+        t = state.step_index * dt
+        if not np.isfinite(u).all():
+            raise DivergedError(f"non-finite drift for {_first_bad_row(u, B)} at t={t:.6f}")
         raise DivergedError(f"non-finite position for {_first_bad_row(state.positions, B)} at t={t + dt:.6f}")
     state.step_index += 1
     return state
@@ -264,18 +295,20 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     M, B, d, n = len(modes), config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
-    state = sample_initial(config, _stream(config.seed, 0), M)
+    streams = _streams(config.seed)
+    state = sample_initial(config, streams(0), M)
     closed_loop = np.array([m == "cl" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(N_SAVED_PATHS, B)
     work = np.empty((WORK_SLOTS, M * B, d))
+    post = np.empty((2, config.target.n_components, M * B))
 
     by_mode = state.positions.reshape(M, B, d)
     power = np.empty((M, n))
     mean_trace = np.empty((M, n + 1, d))
     std_trace = np.empty((M, n + 1, d))
     trajectories = np.empty((M, n_saved, n + 1, d))
-    mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode)
+    mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode, work[0])
     trajectories[:, :, 0] = by_mode[:, :n_saved]
 
     # a snapshot is keyed by the time of the step it is recorded at
@@ -286,11 +319,12 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
 
     energy = state.energy.reshape(M, B)
     prev_energy = np.zeros((M, B))
+    gained = np.empty((M, B))
     for j in range(n):
-        step(state, ctx, table, dt, _stream(config.seed, 1 + j), work, closed_loop)
-        power[:, j] = np.mean(energy - prev_energy, axis=1) / dt
-        prev_energy = energy.copy()
-        mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode)
+        step(state, ctx, table, dt, streams(1 + j), work, post, closed_loop)
+        power[:, j] = np.subtract(energy, prev_energy, out=gained).sum(axis=1) / B / dt
+        prev_energy[...] = energy
+        mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
         trajectories[:, :, j + 1] = by_mode[:, :n_saved]
         if j + 1 in snapshot_steps:
             snapshots[(j + 1) / n] = by_mode.copy()

@@ -154,6 +154,17 @@ def test_zero_weight_fails_validate(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+def test_lqg_target_variance_off_the_admissible_branch_fails_validate(tmp_path, capsys):
+    # the default kappa and q admit no target variance of 25; lqg would fail only after creating its directory
+    path = tmp_path / "wide.cfg"
+    path.write_text("lqg.sigma_tar = 5.0\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "lqg.sigma_tar = 5.0: target variance 25 outside the admissible branch" in capsys.readouterr().err
+    out = tmp_path / "run"
+    assert main(["lqg", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_validate_clean_preset_passes():
     assert validate_config(preset("scenario-a")) == []
 

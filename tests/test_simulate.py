@@ -7,12 +7,12 @@ import pytest
 
 
 import mfbridge.simulate as simulate
-from mfbridge.errors import ProbeError
+from mfbridge.errors import DivergedError, ProbeError
 from mfbridge.presets import preset
 from mfbridge.schedule import PwcSchedule, geometric_schedule
 from mfbridge.score import GaussianMixture, KernelCoeffs, ScoreContext
 from mfbridge.simulate import (GUIDANCE_MODES, SimConfig, mode_guidance, run_bridge, sample_initial,
-                               tables_for_modes, _stream)
+                               tables_for_modes, _streams)
 
 
 def small_config(**kw):
@@ -47,7 +47,7 @@ def test_guidance_modes_resolve():
 
 def test_sample_initial_delta():
     cfg = small_config()
-    state = sample_initial(cfg, _stream(1, 0))
+    state = sample_initial(cfg, _streams(1)(0))
     assert np.all(state.positions == 0.0)
     assert np.all(state.labels == 0)
     assert state.shifts is None
@@ -56,17 +56,90 @@ def test_sample_initial_delta():
 def test_sample_initial_single_gaussian_clt():
     init = GaussianMixture.isotropic([1.0], [0.7], [0.5])
     cfg = small_config(initial=init, n_particles=100_000)
-    state = sample_initial(cfg, _stream(1, 0))
+    state = sample_initial(cfg, _streams(1)(0))
     assert abs(state.positions.mean() - 0.7) < 4 * 0.5 / np.sqrt(100_000)
 
 
 def test_sample_initial_mixture_fractions():
     init = GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])
     cfg = small_config(initial=init, n_particles=8000)
-    state = sample_initial(cfg, _stream(20250101, 0))
+    state = sample_initial(cfg, _streams(20250101)(0))
     frac = np.mean(state.labels == 0)
     assert abs(frac - 0.6) < 3 * np.sqrt(0.6 * 0.4 / 8000)
     assert np.array_equal(state.shifts, state.positions)
+
+
+@pytest.mark.parametrize("seed", [0, 20250101, 2**64 + 5])
+def test_rekeyed_stream_draws_what_a_new_generator_draws(seed):
+    # every odd stream leaves a half-used 32-bit word and a part-used buffer
+    # behind, which the next re-key must drop
+    stream = _streams(seed)
+    assert stream(0) is stream(1)
+    for j in range(3000):
+        want = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), j]))
+        got = stream(j)
+        if j % 2:
+            assert np.array_equal(got.random(3, dtype=np.float32), want.random(3, dtype=np.float32))
+        assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+
+
+class _Drift:
+    """Stands in for the ScoreContext of ``step``: a fixed drift for every row."""
+
+    n_modes = 2
+
+    def __init__(self, drift):
+        self.drift = drift
+
+    def score_batch(self, co, X, Z, nu_hat, work, post):
+        work[3][...] = self.drift
+        return work[3]
+
+
+class _NoRows:
+    def row(self, j):
+        return None
+
+
+def _diverging_step(drift, positions):
+    # particle 3 of mode 1 is row B + 3 of the stacked positions
+    B, d = 5, 2
+    state = sample_initial(small_config(n_particles=B, target=GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [1.0])),
+                           _streams(1)(0), 2)
+    state.positions[B + 3] = positions
+    state.step_index = 7
+    u = np.zeros((2 * B, d))
+    u[B + 3] = drift
+    work, post = np.empty((simulate.WORK_SLOTS, 2 * B, d)), np.empty((2, 1, 2 * B))
+    simulate.step(state, _Drift(u), _NoRows(), 0.01, _streams(1)(8), work, post)
+
+
+def test_non_finite_drift_is_named():
+    with pytest.raises(DivergedError, match=r"non-finite drift for particle 3 of mode 1 at t=0\.070000"):
+        _diverging_step([0.0, np.nan], 0.0)
+
+
+def test_finite_drift_past_the_largest_float_is_a_non_finite_position():
+    # the drift's square and the position overflow; only the message is under test
+    with np.errstate(over="ignore"), \
+            pytest.raises(DivergedError, match=r"non-finite position for particle 3 of mode 1 at t=0\.080000"):
+        _diverging_step([0.0, 1e308], [0.0, 1.79e308])
+
+
+def test_run_bridge_names_the_mode_whose_drift_turns_nan(monkeypatch):
+    # a NaN drift for one particle of the second mode at the 41st step
+    original, calls = ScoreContext.score_batch, []
+
+    def nan_at_step_40(self, *args):
+        u = original(self, *args)
+        calls.append(None)
+        if len(calls) == 41:
+            u[400 + 17, 0] = np.nan
+        return u
+
+    monkeypatch.setattr(ScoreContext, "score_batch", nan_at_step_40)
+    with pytest.raises(DivergedError, match=r"non-finite drift for particle 17 of mode 1 at t=0\.160000"):
+        run_bridge(small_config(), ["mf", "ia0"])
 
 
 def test_pure_diffusion_when_score_vanishes():
