@@ -173,20 +173,18 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
                rows)
 
-    # trajectories.csv: subsampled paths; each row's positions are formatted
-    # in one pass over the mode's (rows, d) array and joined under a
-    # "mode,path," prefix per path and the shared time column.  The fields
-    # need no quoting, so this is the text csv.writer would write
+    # trajectories.csv: subsampled paths, one write per path: its positions
+    # formatted row by row and joined under a "mode,path," prefix and the
+    # shared time column.  The fields need no quoting, so this is the text
+    # csv.writer would write
     t_lead = [f"{t}," for t in t_col]
     x_fmt = ",".join(["{:.6g}"] * d)
     with _atomic_open(out_dir / "trajectories.csv") as fh:
         csv.writer(fh).writerow(["mode", "path", "t"] + [f"x_{i}" for i in range(d)])
         for m in config.modes:
-            paths = reports[m].trajectories[:, ::stride]     # (paths, times, d)
-            cells = list(map(x_fmt.format, *paths.reshape(-1, d).T.tolist()))
-            for pid in range(paths.shape[0]):
+            for pid, path in enumerate(reports[m].trajectories[:, ::stride]):
                 prefix = f"{m},{pid},"
-                rows = map(str.__add__, t_lead, cells[pid * len(t_lead):(pid + 1) * len(t_lead)])
+                rows = map(str.__add__, t_lead, map(x_fmt.format, *path.T.tolist()))
                 fh.write(prefix + f"\r\n{prefix}".join(rows) + "\r\n")
 
     if affine:

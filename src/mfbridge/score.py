@@ -370,10 +370,10 @@ class ScoreContext:
                    post: np.ndarray | None = None):
         """Responsibilities (K, n), in basis order, and the posterior mean (n, d) for probes w.
 
-        The log-weights are built in post[0] (2, K, n) and turned into the
-        responsibilities in place, with one product in post[1].  The squared
-        probes and the mean's terms go to work[2] and work[4], the mean
-        itself to work[3].  None allocates either array.
+        ``post`` is (2, K, n): the log-weights are built in post[0] and turned
+        into the responsibilities in place, and post[1] takes one of their
+        terms.  The squared probes and the mean's terms go to work[2] and
+        work[4], the mean itself to work[3].  None allocates either array.
         """
         work = _work(w, work)
         p, term = np.empty((2, self._lam.shape[0], w.shape[0])) if post is None else post
