@@ -322,7 +322,9 @@ def test_stacked_run_equals_single_runs():
 
 # ----------------------------------------------------------------------------
 # pinned results: a change to the step loop that keeps every floating-point
-# operation leaves these bits as they are
+# operation leaves these bits as they are.  They were taken with numpy 2.4 and
+# its bundled OpenBLAS 0.3.31 on x86-64; a BLAS that orders its sums
+# differently moves the last bits
 # ----------------------------------------------------------------------------
 
 def _preset_config(name, **kw):
