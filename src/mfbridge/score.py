@@ -376,7 +376,7 @@ class ScoreContext:
         work[4], the mean itself to work[3].  None allocates either array.
         """
         work = _work(w, work)
-        p, term = np.empty((2, self._lam.shape[0], w.shape[0])) if post is None else post
+        p, term = np.empty((2, self.target.n_components, w.shape[0])) if post is None else post
         rotated = [_to_basis(U, w) for U, _ in self.bases]
         for pw, (_, sl) in zip(rotated, self.bases):
             log_w = _contract(co.post_quad[sl], np.multiply(pw, pw, out=work[2]).T, p[sl])
