@@ -4,7 +4,7 @@ from .schedule import PwcSchedule, geometric_schedule, interval_of
 from .guidance import linear_guidance, fixed_point_guidance
 from .greens import build_tables, CoeffTables
 from .lqg import LqgProblem, solve_lqg, ia_baseline, lqg_metrics
-from .score import GaussianMixture, ScoreContext, probe, posterior, score_at, shifted_score, marginal_density
+from .score import GaussianMixture, ScoreContext, marginal_density
 from .simulate import SimConfig, run_bridge
 
 __version__ = "0.1.0"
@@ -14,7 +14,7 @@ __all__ = [
     "linear_guidance", "fixed_point_guidance",
     "build_tables", "CoeffTables",
     "LqgProblem", "solve_lqg", "ia_baseline", "lqg_metrics",
-    "GaussianMixture", "ScoreContext", "probe", "posterior", "score_at", "shifted_score", "marginal_density",
+    "GaussianMixture", "ScoreContext", "marginal_density",
     "SimConfig", "run_bridge",
     "__version__",
 ]

@@ -7,7 +7,7 @@ Exit codes: 0 ok, 1 validation/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -23,8 +23,8 @@ from .errors import ConfigError, NumericalError
 from .greens import build_tables
 from .guidance import fixed_point_guidance, linear_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
-from .presets import ExperimentConfig, load_config, preset, validate_config
-from .score import ScoreContext, _marginal_components, marginal_density
+from .presets import ExperimentConfig, check_config, load_config, preset, validate_config
+from .score import ScoreContext, _marginal_components, _mixture_logpdf
 from .simulate import SimConfig, mode_guidance, run_bridge, tables_for_modes
 
 __all__ = ["main", "run_experiment"]
@@ -32,6 +32,7 @@ __all__ = ["main", "run_experiment"]
 AFFINE_FIT_SLICES = 49
 DENSITY_GRID_POINTS = 501
 DENSITY_GRID_SDS = 6.0   # the grid spans every marginal component's mean +- this many sd
+CSV_CHUNK_ROWS = 1024    # rows a CSV writer formats and writes at a time
 
 
 # ----------------------------------------------------------------------------
@@ -55,16 +56,30 @@ def _atomic_open(path: Path):
         raise
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, specs: list, blocks) -> None:
+    """Write a header row, then the rows of each block in turn, with ``\\r\\n`` line ends.
+
+    A block is a list of equal-length columns: flat arrays or sequences,
+    strings allowed; ``specs`` holds one printf-style conversion per column
+    (``"%s"``, ``"%d"``, ``"%.8g"``, ...).  Rows are formatted by one
+    per-row format string, ``CSV_CHUNK_ROWS`` at a time, and ``blocks`` may
+    be a generator, so no more than one block's columns need exist at once.
+    The fields need no quoting (no comma, quote or line break), so the bytes
+    are those ``csv.writer`` writes.
+    """
+    row = ",".join(specs) + "\r\n"
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            for i in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                chunk = [c[i:i + CSV_CHUNK_ROWS] for c in columns]
+                fh.write("".join(map(row.__mod__, zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                                        for c in chunk)))))
 
 
-def _column(values, spec: str) -> list:
-    """Every entry of an array (flattened) formatted with one format spec."""
-    return list(map(f"{{:{spec}}}".format, np.ravel(values).tolist()))
+def _joined(values, spec: str) -> str:
+    """A vector as one field: its entries formatted with the conversion ``spec`` and joined by spaces."""
+    return " ".join([spec % v for v in np.atleast_1d(values).tolist()])
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -90,27 +105,28 @@ def _sim_config(config: ExperimentConfig, sweep_value=None, **extra) -> SimConfi
     )
 
 
-def _affine_fit_rows(modes: list, reports: list, sim_cfg: SimConfig, tables) -> list:
+def _affine_fit(modes: list, reports: list, sim_cfg: SimConfig, tables):
     """Least-squares fit u ~ -S x - s per mode and time slice, with R^2 (1-d runs).
 
-    Every mode's drift at one slice is one stacked evaluation.
+    Every mode's drift at one slice is one stacked evaluation.  Returns the
+    slice times and the fit (3, M, slices): S, s and R^2.
     """
     ctx = ScoreContext(tables, sim_cfg.target, sim_cfg.initial)
     times = sorted(reports[0].snapshots)
     table = ctx.coeff_table(times)
     M = len(modes)
-    rows = []
+    fit = np.empty((3, M, len(times)))
     for j, t_s in enumerate(times):
         X = np.concatenate([rep.snapshots[t_s] for rep in reports])
         U = ctx.score_batch(table.row(j), X, reports[0].shifts)
-        for m, x, u in zip(modes, X.reshape(M, -1), U.reshape(M, -1)):
+        for i, (x, u) in enumerate(zip(X.reshape(M, -1), U.reshape(M, -1))):
             A = np.column_stack([-x, -np.ones_like(x)])
             coef, *_ = np.linalg.lstsq(A, u, rcond=None)
             resid = u - A @ coef
             ss_tot = float(np.sum((u - u.mean()) ** 2))
             r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-            rows.append([m, f"{t_s:.6f}", f"{coef[0]:.8g}", f"{coef[1]:.8g}", f"{r2:.8g}"])
-    return [row for i in range(M) for row in rows[i::M]]   # mode by mode
+            fit[:, i, j] = coef[0], coef[1], r2
+    return times, fit
 
 
 def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
@@ -121,12 +137,12 @@ def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
     header = (["t", "a_plus", "a_minus", "b_minus", "c_minus"]
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
               + [f"theta_y_{i}" for i in range(d)] + ["lambda_plus", "lambda_x", "lambda_y"])
-    shared = [_column(table.t, ".6f")] + [_column(v, ".10g") for v in (table.a_plus, table.a, table.b, table.c)]
-    lams = [_column(v, ".10g") for v in (table.lam_plus, table.lam_x, table.lam_y)]
+    specs = ["%.6f"] + ["%.10g"] * (len(header) - 1)
+    shared = [table.t, table.a_plus, table.a, table.b, table.c]
+    lams = [table.lam_plus, table.lam_x, table.lam_y]
     for i, m in enumerate(modes):
-        thetas = [_column(field[:, i, k], ".10g")
-                  for field in (table.theta_plus, table.theta_x, table.theta_y) for k in range(d)]
-        _write_csv(out_dir / f"coefficients_{m}.csv", header, zip(*shared, *thetas, *lams))
+        thetas = [field[:, i, k] for field in (table.theta_plus, table.theta_x, table.theta_y) for k in range(d)]
+        _write_csv(out_dir / f"coefficients_{m}.csv", header, specs, [shared + thetas + lams])
 
 
 def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coefficients: bool = False) -> dict:
@@ -145,59 +161,52 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
         _dump_coefficients(out_dir, config.modes, tables)
     wall = time.perf_counter() - t_wall
 
+    modes = config.modes
     n = config.n_steps
     stride = max(1, n // 500)
     steps = np.arange(0, n + 1, stride)
-    t_col = _column(steps / n, ".6f")
+    t_col = ["%.6f" % t for t in (steps / n).tolist()]   # shared by the per-time files
+    T = len(t_col)
 
     # energy.csv: t then P_/E_ per mode; the last time repeats the last step's power
-    header = ["t"] + [f"P_{m}" for m in config.modes] + [f"E_{m}" for m in config.modes]
-    columns = ([t_col] + [_column(reports[m].power[np.minimum(steps, n - 1)], ".8g") for m in config.modes]
-               + [_column(reports[m].energy_trace[::stride], ".8g") for m in config.modes])
-    _write_csv(out_dir / "energy.csv", header, zip(*columns))
+    _write_csv(out_dir / "energy.csv", ["t"] + [f"P_{m}" for m in modes] + [f"E_{m}" for m in modes],
+               ["%s"] + ["%.8g"] * (2 * len(modes)),
+               [[t_col] + [reports[m].power[np.minimum(steps, n - 1)] for m in modes]
+                + [reports[m].energy_trace[::stride] for m in modes]])
 
     # terminal.csv: per-component moments per mode
     rows = []
-    for m in config.modes:
+    for m in modes:
         rep = reports[m]
         for k, (e, se, cnt) in rep.component_energy.items():
             mean = rep.terminal_mean.get(k)
             std = rep.terminal_std.get(k)
-            rows.append([
-                m, k, cnt, f"{cnt / config.n_particles:.6f}",
-                " ".join(f"{v:.6g}" for v in np.atleast_1d(mean)) if mean is not None else "",
-                " ".join(f"{v:.6g}" for v in np.atleast_1d(std)) if std is not None else "",
-                f"{e:.8g}" if e is not None else "", f"{se:.4g}" if se is not None else "",
-            ])
+            rows.append((m, k, cnt, cnt / config.n_particles,
+                         _joined(mean, "%.6g") if mean is not None else "",
+                         _joined(std, "%.6g") if std is not None else "",
+                         "%.8g" % e if e is not None else "", "%.4g" % se if se is not None else ""))
     _write_csv(out_dir / "terminal.csv",
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
-               rows)
+               ["%s", "%s", "%s", "%.6f", "%s", "%s", "%s", "%s"], [list(zip(*rows))])
 
-    # trajectories.csv: subsampled paths, one write per path: its positions
-    # formatted row by row and joined under a "mode,path," prefix and the
-    # shared time column.  The fields need no quoting, so this is the text
-    # csv.writer would write
-    t_lead = [f"{t}," for t in t_col]
-    x_fmt = ",".join(["{:.6g}"] * d)
-    with _atomic_open(out_dir / "trajectories.csv") as fh:
-        csv.writer(fh).writerow(["mode", "path", "t"] + [f"x_{i}" for i in range(d)])
-        for m in config.modes:
-            for pid, path in enumerate(reports[m].trajectories[:, ::stride]):
-                prefix = f"{m},{pid},"
-                rows = map(str.__add__, t_lead, map(x_fmt.format, *path.T.tolist()))
-                fh.write(prefix + f"\r\n{prefix}".join(rows) + "\r\n")
+    # trajectories.csv: the subsampled paths, one block per path
+    _write_csv(out_dir / "trajectories.csv", ["mode", "path", "t"] + [f"x_{i}" for i in range(d)],
+               ["%s", "%d", "%s"] + ["%.6g"] * d,
+               ([[m] * T, [pid] * T, t_col, *path.T]
+                for m in modes for pid, path in enumerate(reports[m].trajectories[:, ::stride])))
 
     if affine:
-        _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"],
-                   _affine_fit_rows(config.modes, runs, sim_cfg, tables))
+        times, fit = _affine_fit(modes, runs, sim_cfg, tables)
+        _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], ["%s", "%.6f", "%.8g", "%.8g", "%.8g"],
+                   ([[m] * len(times), times, *fit[:, i]] for i, m in enumerate(modes)))
 
     if d > 1:
-        rows = [[m, z, f"{reports[m].zone_energy[z]:.8g}"] for m in config.modes for z in range(d)]
-        _write_csv(out_dir / "zone_energy.csv", ["mode", "zone", "energy"], rows)
-        keys = [(t, z) for t in t_col for z in range(d)]   # the (time, zone) order of mean_trace.ravel()
-        rows = [[m, t, z, v] for m in config.modes
-                for (t, z), v in zip(keys, _column(reports[m].mean_trace[::stride], ".6g"))]
-        _write_csv(out_dir / "zone_means.csv", ["mode", "t", "zone", "mean"], rows)
+        _write_csv(out_dir / "zone_energy.csv", ["mode", "zone", "energy"], ["%s", "%d", "%.8g"],
+                   ([[m] * d, range(d), reports[m].zone_energy] for m in modes))
+        # the (time, zone) order of mean_trace.ravel()
+        t_z = [t for t in t_col for _ in range(d)], list(range(d)) * T
+        _write_csv(out_dir / "zone_means.csv", ["mode", "t", "zone", "mean"], ["%s", "%s", "%d", "%.6g"],
+                   ([[m] * (T * d), *t_z, reports[m].mean_trace[::stride].ravel()] for m in modes))
 
     totals = {m: reports[m].total for m in config.modes}
     saving = None
@@ -227,8 +236,11 @@ def _point_dir(out: Path, config: ExperimentConfig, value) -> Path:
 
 def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
                    dump_coefficients: bool = False) -> Path:
-    """Run a config (single point or sweep); returns the output directory."""
-    errors = validate_config(config)
+    """Run a config (single point or sweep); returns the output directory.
+
+    An ``lqg`` config builds no coefficient table, so it skips the dry run.
+    """
+    errors = check_config(config) if config.lqg is not None else validate_config(config)
     if errors:
         raise ConfigError("; ".join(errors))
     out = Path(out_dir)
@@ -246,15 +258,13 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
         rows = [_run_point(*job) for job in jobs]
 
     if config.sweep_axis != "none":
-        header = ["value", "d"] + [f"E_per_zone_{m}" for m in config.modes] + ["saving_pct", "wall_seconds"]
-        table = []
-        for row in rows:
-            table.append(
-                [row["value"], row["d"]]
-                + [f"{row[f'E_per_zone_{m}']:.6g}" for m in config.modes]
-                + [f"{100 * row['saving']:.2f}" if row["saving"] is not None else "", f"{row['wall_seconds']:.1f}"]
-            )
-        _write_csv(out / "sweep_table.csv", header, table)
+        _write_csv(out / "sweep_table.csv",
+                   ["value", "d"] + [f"E_per_zone_{m}" for m in config.modes] + ["saving_pct", "wall_seconds"],
+                   ["%s", "%s"] + ["%.6g"] * len(config.modes) + ["%s", "%.1f"],
+                   [[[row["value"] for row in rows], [row["d"] for row in rows]]
+                    + [[row[f"E_per_zone_{m}"] for row in rows] for m in config.modes]
+                    + [["%.2f" % (100 * row["saving"]) if row["saving"] is not None else "" for row in rows],
+                       [row["wall_seconds"] for row in rows]]])
     return out
 
 
@@ -282,14 +292,13 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
     _write_csv(out / "lqg.csv",
                ["t", "S", "Sigma", "m_mf", "s_mf", "s_ia0", "s_iam",
                 "P_mf", "P_ia0", "P_iam", "E_mf", "E_ia0", "E_iam"],
-               zip(_column(t, ".6f"), *(_column(v, ".8g") for v in values)))
+               ["%.6f"] + ["%.8g"] * len(values), [[t, *values]])
 
-    sweep_rows = []
+    totals = []
     for m_bar in spec.m_bar_grid:
         ia = ia_baseline(problem, sol, float(m_bar))
-        e = lqg_metrics(sol, s_of_t=ia.s, m_of_t=ia.m)
-        sweep_rows.append([f"{m_bar:.6g}", f"{e.total:.8g}"])
-    _write_csv(out / "lqg_mbar_sweep.csv", ["m_bar", "E_total"], sweep_rows)
+        totals.append(lqg_metrics(sol, s_of_t=ia.s, m_of_t=ia.m).total)
+    _write_csv(out / "lqg_mbar_sweep.csv", ["m_bar", "E_total"], ["%.6g", "%.8g"], [[spec.m_bar_grid, totals]])
 
     _write_json(out / "summary.json", {
         "kappa": spec.kappa, "q": spec.q, "m_tar": spec.m_tar, "sigma_tar": spec.sigma_tar,
@@ -307,24 +316,21 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     sim_cfg = _sim_config(config)
     if sim_cfg.dim != 1:
         raise ConfigError("density emission is 1-d only")
-    ctxs = {m: ScoreContext(build_tables(sim_cfg.schedule, mode_guidance(sim_cfg, m), sim_cfg.n_steps),
-                            sim_cfg.target, sim_cfg.initial)
-            for m in config.modes}
+    ctxs = [ScoreContext(build_tables(sim_cfg.schedule, mode_guidance(sim_cfg, m), sim_cfg.n_steps),
+                         sim_cfg.target, sim_cfg.initial)
+            for m in config.modes]
+    # each (mode, t) marginal's components, computed once for the grid and the curve
+    comps = [[_marginal_components(ctx, t) for ctx in ctxs] for t in times]
     # one grid for every curve, wide enough for each curve's every component
     lo, hi = np.inf, -np.inf
-    for ctx in ctxs.values():
-        for t in times:
-            _, means, covs = _marginal_components(ctx, t)
-            half = DENSITY_GRID_SDS * np.sqrt(covs[:, 0, 0])
-            lo, hi = min(lo, np.min(means[:, 0] - half)), max(hi, np.max(means[:, 0] + half))
-    xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)[:, None]
-
-    x_col = _column(xs, ".6f")
-    rows = []
-    for t in times:
-        curves = [_column(marginal_density(ctx, t, xs), ".8g") for ctx in ctxs.values()]
-        rows.extend([f"{t:.4f}", x, *ps] for x, *ps in zip(x_col, *curves))
-    _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in config.modes], rows)
+    for _, means, covs in (c for at_t in comps for c in at_t):
+        half = DENSITY_GRID_SDS * np.sqrt(covs[:, 0, 0])
+        lo, hi = min(lo, np.min(means[:, 0] - half)), max(hi, np.max(means[:, 0] + half))
+    xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)
+    curves = np.exp([[_mixture_logpdf(*c, xs[:, None]) for c in at_t] for at_t in comps])   # (times, modes, x)
+    _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in config.modes],
+               ["%.4f", "%.6f"] + ["%.8g"] * len(ctxs),
+               ([[t] * xs.size, xs, *at_t] for t, at_t in zip(times, curves)))
 
 
 def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, max_iter: int = 15) -> dict:
@@ -343,15 +349,12 @@ def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, 
     lin_mid = linear_guidance(sim_cfg.initial_mean, sim_cfg.target.mean, mids)
     resid = result.values - lin_mid
 
-    _write_csv(out / "guidance_check.csv", ["iteration", "max_update"],
-               [[i + 1, f"{u:.8g}"] for i, u in enumerate(result.max_updates)])
-    rows = []
-    for i, tm in enumerate(mids):
-        rows.append([i, f"{tm:.6f}",
-                     " ".join(f"{v:.8g}" for v in result.values[i]),
-                     " ".join(f"{v:.8g}" for v in lin_mid[i]),
-                     f"{np.linalg.norm(resid[i]):.8g}"])
-    _write_csv(out / "midpoint_residuals.csv", ["interval", "t_mid", "nu_fixed_point", "nu_linear", "residual"], rows)
+    _write_csv(out / "guidance_check.csv", ["iteration", "max_update"], ["%d", "%.8g"],
+               [[range(1, len(result.max_updates) + 1), result.max_updates]])
+    _write_csv(out / "midpoint_residuals.csv", ["interval", "t_mid", "nu_fixed_point", "nu_linear", "residual"],
+               ["%d", "%.6f", "%s", "%s", "%.8g"],
+               [[range(len(mids)), mids, [_joined(v, "%.8g") for v in result.values],
+                 [_joined(v, "%.8g") for v in lin_mid], [np.linalg.norm(r) for r in resid]]])
 
     summary = {
         "converged": result.converged,
@@ -402,7 +405,9 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: ``parse_args`` keeps no state in it."""
     parser = _Parser(prog="mfbridge", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

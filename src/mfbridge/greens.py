@@ -64,8 +64,7 @@ import numpy as np
 
 from .schedule import PwcSchedule, interval_of
 
-__all__ = ["ForwardScalar", "BackwardScalar", "LinearCoeffs", "CoeffTables", "KernelCoeffs",
-           "forward_scalar", "backward_scalar", "linear_coeffs", "build_tables", "DEFAULT_N_STEPS"]
+__all__ = ["CoeffTables", "KernelCoeffs", "build_tables", "DEFAULT_N_STEPS"]
 
 BETA_ZERO = 1e-14
 DEFAULT_N_STEPS = 2500  # dense-grid resolution shared with the simulator

@@ -21,7 +21,7 @@ from .score import GaussianMixture
 from .simulate import GUIDANCE_MODES
 
 __all__ = ["MixtureSpec", "LqgSpec", "ExperimentConfig", "PRESETS", "preset",
-           "parse_config_text", "parse_config_json", "load_config", "validate_config",
+           "parse_config_text", "parse_config_json", "load_config", "validate_config", "check_config", "dry_run",
            "dsweep_mixtures", "ksweep_mixtures"]
 
 # sweep axis -> the short name of its value in point tags and directories
@@ -356,10 +356,18 @@ def load_config(path: str) -> ExperimentConfig:
 # ----------------------------------------------------------------------------
 
 def validate_config(config: ExperimentConfig) -> list:
-    """Structural checks, every sweep point's mixtures, and a coefficient dry run.
+    """``check_config``, then, if it passed and the config has a target, ``dry_run``.
 
     Returns a list of error strings; empty means the config is runnable.
     """
+    errors = check_config(config)
+    if errors or config.target is None:
+        return errors
+    return dry_run(config)
+
+
+def check_config(config: ExperimentConfig) -> list:
+    """Structural checks, every sweep point's mixtures and the ``lqg`` closed form; a list of errors."""
     errors = []
     if config.target is None and config.lqg is None:
         errors.append("config needs a target mixture (or an lqg section)")
@@ -404,19 +412,22 @@ def validate_config(config: ExperimentConfig) -> list:
             config.mixtures(value)
         except ValueError as exc:
             errors.append(f"{exc}" if value is None else f"sweep point {config.point_tag(value)}: {exc}")
-    if errors:
-        return errors
+    return errors
 
-    # dry run: the probe precision K = c(t) - a_plus(1) depends on the
-    # schedule alone, so one table with zero guidance covers every sweep point
+
+def dry_run(config: ExperimentConfig) -> list:
+    """A coefficient dry run: the probe precision K must be finite and positive on a 2001-time grid.
+
+    K = c(t) - a_plus(1) depends on the schedule alone, so one table with
+    zero guidance covers every sweep point.  Returns a list of errors.
+    """
     try:
         sched = config.schedule()
         tables = build_tables(sched, np.zeros((sched.n_intervals, 1)), config.n_steps)
         ts = np.linspace(tables.t_clip[0], tables.t_clip[1], 2001)
         K = tables.sample(ts).K
-        if not np.all(np.isfinite(K)) or np.any(K <= 0):
-            bad = float(ts[np.argmin(K)])
-            errors.append(f"probe precision not positive on the grid (worst at t={bad:.4f})")
     except Exception as exc:  # surface anything the dry run trips over
-        errors.append(f"dry run failed: {exc}")
-    return errors
+        return [f"dry run failed: {exc}"]
+    if not np.all(np.isfinite(K)) or np.any(K <= 0):
+        return [f"probe precision not positive on the grid (worst at t={float(ts[np.argmin(K)]):.4f})"]
+    return []

@@ -57,7 +57,7 @@ from .errors import ProbeError
 from .greens import CoeffTables, KernelCoeffs
 
 __all__ = ["GaussianMixture", "KernelCoeffs", "ScoreCoeffs", "ScoreContext", "WORK_SLOTS", "ar1_covariance",
-           "probe", "posterior", "score_at", "shifted_score", "marginal_density"]
+           "marginal_density"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -423,44 +423,6 @@ class ScoreContext:
         u -= ups
         u *= co.b
         return u
-
-
-# ----------------------------------------------------------------------------
-# functional API
-# ----------------------------------------------------------------------------
-
-def probe(ctx: ScoreContext, t: float, x) -> tuple[float, np.ndarray]:
-    """(K_t, probe mean) at one position."""
-    co = ctx.coeffs(t)
-    X = _rows(x)
-    w, _ = ctx._affine_inputs(co, X, None, None)
-    return co.K, w[0]
-
-
-def posterior(ctx: ScoreContext, t: float, x):
-    """(responsibilities, per-component posterior means, mixture estimate)."""
-    co = ctx.coeffs(t)
-    X = _rows(x)
-    w, _ = ctx._affine_inputs(co, X, None, None)
-    p, y_hat = ctx._posterior(co, w)
-    pi = np.empty(ctx.target.n_components)
-    m_bar = np.empty((ctx.target.n_components, ctx.target.dim))
-    for U, sl in ctx.bases:
-        pi[ctx._order[sl]] = p[sl, 0]
-        m_bar[ctx._order[sl]] = _from_basis(U, co.shrink[sl] + co.gain[sl] * _to_basis(U, w[0]))
-    return pi, m_bar, y_hat[0]
-
-
-def score_at(ctx: ScoreContext, t: float, x) -> np.ndarray:
-    """Optimal drift at one position (zero-start problem)."""
-    u = ctx.score_batch(ctx.coeffs(t), x)
-    return u[0]
-
-
-def shifted_score(ctx: ScoreContext, t: float, x, z) -> np.ndarray:
-    """Optimal drift for a trajectory started at z instead of the origin."""
-    u = ctx.score_batch(ctx.coeffs(t), x, z)
-    return u[0]
 
 
 def _marginal_components(ctx: ScoreContext, t: float):

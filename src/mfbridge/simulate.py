@@ -328,6 +328,9 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
         trajectories[:, :, j + 1] = by_mode[:, :n_saved]
         if j + 1 in snapshot_steps:
             snapshots[(j + 1) / n] = by_mode.copy()
+    # a finite drift past about 1e154 overflows its square, which the position scan misses
+    if not np.isfinite(state.energy).all():
+        raise DivergedError(f"non-finite energy for {_first_bad_row(state.energy[:, None], B)}")
 
     # terminal-basin attribution from the posterior responsibilities just
     # before the pinning time

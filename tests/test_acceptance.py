@@ -12,12 +12,13 @@ import numpy as np
 
 
 import oracles
+from pointwise import score_at, shifted_score
 from mfbridge.greens import build_tables
 from mfbridge.guidance import linear_guidance
 from mfbridge.lqg import LqgProblem, solve_lqg
 from mfbridge.presets import dsweep_mixtures, ksweep_mixtures
 from mfbridge.schedule import PwcSchedule, geometric_schedule
-from mfbridge.score import GaussianMixture, ScoreContext, score_at, shifted_score
+from mfbridge.score import GaussianMixture, ScoreContext
 from mfbridge.simulate import SimConfig, run_bridge
 
 

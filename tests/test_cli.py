@@ -544,21 +544,51 @@ def test_dump_coefficients_rows_match_the_table(tmp_path):
             assert rows[1 + j] == want, (m, j)
 
 
+def test_csv_writer_bytes_match_csv_module(tmp_path):
+    # mode strings, empty fields, space-joined vectors and the float edge cases
+    from mfbridge.cli import CSV_CHUNK_ROWS, _joined, _write_csv
+
+    floats = [-0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 1e300, 0.1, -2.5e-7]
+    n = len(floats)
+    modes = ["mf", "ia0", "iam", "cl"] * 2
+    vectors = [_joined(np.arange(k) - 0.5, "%.6g") for k in range(n)]
+    maybe = ["" if k % 2 else f"{v:.4g}" for k, v in enumerate(floats)]
+    header = ["mode", "k", "f6", "g8", "g10", "repr", "vector", "maybe"]
+    columns = [modes, range(n), np.array(floats), np.array(floats), floats, floats, vectors, maybe]
+    target, reference = tmp_path / "mixed.csv", tmp_path / "reference.csv"
+    _write_csv(target, header, ["%s", "%d", "%.6f", "%.8g", "%.10g", "%s", "%s", "%s"],
+               ([c[:3] for c in columns], [c[3:] for c in columns]))   # two blocks
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([m, k, f"{v:.6f}", f"{v:.8g}", f"{v:.10g}", v, vec, e]
+                         for m, k, v, vec, e in zip(modes, range(n), floats, vectors, maybe))
+    assert target.read_bytes() == reference.read_bytes()
+    assert b"-0," in target.read_bytes() and b"1e+300" in target.read_bytes()
+
+    # a block longer than one chunk comes out whole and in order
+    big = np.arange(2 * CSV_CHUNK_ROWS + 3) / 7
+    _write_csv(target, ["x"], ["%.8g"], [[big]])
+    with open(reference, "w", newline="") as fh:
+        csv.writer(fh).writerows([["x"]] + [[f"{v:.8g}"] for v in big])
+    assert target.read_bytes() == reference.read_bytes()
+
+
 @pytest.mark.parametrize("write", ["csv", "json"])
 def test_failed_write_leaves_no_file(tmp_path, write):
-    from mfbridge.cli import _write_csv, _write_json
+    from mfbridge.cli import CSV_CHUNK_ROWS, _write_csv, _write_json
 
     class Unserialisable:
         pass
 
-    def rows():
-        yield [1, 2]
+    def blocks():
+        yield [[1.0] * (CSV_CHUNK_ROWS + 1), list(range(CSV_CHUNK_ROWS + 1))]   # more than one chunk written
         raise RuntimeError("row source failed")
 
     target = tmp_path / "out" / f"artifact.{write}"
     with pytest.raises((RuntimeError, TypeError)):
         if write == "csv":
-            _write_csv(target, ["a", "b"], rows())
+            _write_csv(target, ["a", "b"], ["%.3f", "%d"], blocks())
         else:
             _write_json(target, {"ok": 1, "bad": Unserialisable()})
     assert list(target.parent.iterdir()) == []
@@ -568,7 +598,34 @@ def test_write_replaces_whole_file(tmp_path):
     from mfbridge.cli import _write_csv
 
     target = tmp_path / "table.csv"
-    _write_csv(target, ["a"], [[1], [2], [3]])
-    _write_csv(target, ["a"], [[4]])
+    _write_csv(target, ["a"], ["%d"], [[[1, 2, 3]]])
+    _write_csv(target, ["a"], ["%d"], [[[4]]])
     assert target.read_bytes() == b"a\r\n4\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_cached_parser_keeps_nothing_between_calls(tmp_path):
+    # the parser is built once per process; each call's options are its own
+    assert main(["lqg", "--kappa", "0.5", "--out", str(tmp_path / "k05")]) == 0
+    assert main(["lqg", "--out", str(tmp_path / "plain")]) == 0
+    assert json.loads((tmp_path / "k05" / "summary.json").read_text())["kappa"] == 0.5
+    assert json.loads((tmp_path / "plain" / "summary.json").read_text())["kappa"] == 0.8
+    run = ["bridge", "--preset", "scenario-b", "--particles", "20", "--steps", "20", "--modes", "mf"]
+    assert main([*run, "--dump-coefficients", "--out", str(tmp_path / "dump")]) == 0
+    assert main([*run, "--out", str(tmp_path / "nodump")]) == 0
+    assert (tmp_path / "dump" / "coefficients_mf.csv").exists()
+    assert not list((tmp_path / "nodump").glob("coefficients_*.csv"))
+
+
+def test_lqg_skips_the_coefficient_dry_run(tmp_path, monkeypatch, capsys):
+    # lqg builds no coefficient table; validate still dry-runs one
+    import mfbridge.presets as presets
+
+    def no_tables(*args, **kwargs):
+        raise RuntimeError("no table may be built")
+
+    monkeypatch.setattr(presets, "build_tables", no_tables)
+    assert main(["lqg", "--preset", "lqg-tcl", "--out", str(tmp_path / "lqg")]) == 0
+    assert (tmp_path / "lqg" / "lqg.csv").exists()
+    assert main(["validate", "--preset", "lqg-tcl"]) == 1
+    assert "dry run failed: no table may be built" in capsys.readouterr().err

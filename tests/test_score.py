@@ -12,11 +12,8 @@ from mfbridge.score import (
     ScoreContext,
     ar1_covariance,
     marginal_density,
-    posterior,
-    probe,
-    score_at,
-    shifted_score,
 )
+from pointwise import posterior, probe, score_at, shifted_score
 
 
 @pytest.fixture(scope="module")

@@ -142,6 +142,23 @@ def test_run_bridge_names_the_mode_whose_drift_turns_nan(monkeypatch):
         run_bridge(small_config(), ["mf", "ia0"])
 
 
+def test_run_bridge_names_the_mode_whose_energy_overflows(monkeypatch):
+    # a finite drift of 1e160 at the last step: its square overflows, the position stays finite
+    original, calls = ScoreContext.score_batch, []
+
+    def huge_at_last_step(self, *args):
+        u = original(self, *args)
+        calls.append(None)
+        if len(calls) == 250:
+            u[400 + 17, 0] = 1e160
+        return u
+
+    monkeypatch.setattr(ScoreContext, "score_batch", huge_at_last_step)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergedError, match=r"non-finite energy for particle 17 of mode 1"):
+        run_bridge(small_config(), ["mf", "ia0"])
+
+
 def test_pure_diffusion_when_score_vanishes():
     # matched heat kernel: zero drift, terminal law N(0, 1)
     sched = PwcSchedule([0.0, 1.0], [0.0])
