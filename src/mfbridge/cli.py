@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -155,7 +156,9 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     t_wall = time.perf_counter()
     sim_cfg = _sim_config(config, sweep_value, snapshot_times=snap_times)
     tables = tables_for_modes(sim_cfg, config.modes)
+    t_run = time.perf_counter()
     runs = run_bridge(sim_cfg, config.modes, tables)
+    t_ran = time.perf_counter()
     reports = dict(zip(config.modes, runs))
     if dump_coefficients:
         _dump_coefficients(out_dir, config.modes, tables)
@@ -219,6 +222,12 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
         "totals_per_zone": {m: totals[m] / d for m in totals},
         "saving_vs_ia0": saving,
         "wall_seconds": wall,
+        "timings": {
+            "tables_s": t_run - t_wall,
+            "step_loop_s": runs[0].step_loop_seconds,
+            "noise_wait_s": runs[0].noise_wait_seconds,
+            "writing_s": time.perf_counter() - t_ran,
+        },
         "modes": {m: reports[m].summary() for m in config.modes},
         "config": asdict(config),
     }
@@ -516,6 +525,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.verb == "guidance-check":
+            if not (math.isfinite(args.tol) and args.tol > 0):
+                raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
+            if args.max_iter < 1:
+                raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
             cfg = _load(args)
             errors = validate_config(cfg)
             if errors:

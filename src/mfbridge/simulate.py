@@ -9,9 +9,14 @@ Conventions:
   * noise comes from counter-based streams keyed by (seed, stream id), one
     stream per step plus one for the initial draw, so runs are bit-for-bit
     reproducible regardless of how particles are partitioned over workers;
-    a run holds one Philox generator and re-keys it to each step's stream
+    a stream user holds one Philox generator and re-keys it to each stream
     (counter 0, empty buffer), which draws exactly what a new generator on
     that key would;
+  * the steps' draws are made one block of steps ahead on one worker
+    thread with its own generator while the caller steps through the block
+    before; the caller draws a block itself when the worker has not
+    finished it.  No draw depends on the particles, so the results do not
+    depend on which thread made them;
   * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
     to compare on it.  Their guidance reaches the run only through one
     ``CoeffTables`` that stacks it.  The modes advance together: their
@@ -24,8 +29,12 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+import sys
+import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -65,6 +74,100 @@ def _streams(seed: int):
         bitgen.state = fresh
         return gen
     return stream
+
+
+NOISE_BLOCK_BYTES = 256 * 1024   # draws per block of the noise thread, rounded down to whole steps
+
+
+class _NoiseBlocks:
+    """Step j's (B, d) draw from stream 1 + j, made one block of steps ahead on a worker thread.
+
+    A block holds ``max(1, NOISE_BLOCK_BYTES // (8 B d))`` steps.  The
+    worker fills block k into buffer k % 2 once the caller has reached
+    block k - 1, and each block is handed over under one lock.  numpy fills
+    ``standard_normal(out=...)`` without the GIL, so the worker draws on a
+    second core while the caller steps.  The caller never waits for it: a
+    block the worker has not finished when the caller reaches it is drawn
+    by the caller, step by step, and the worker leaves it.  On Linux the
+    worker runs at the lowest priority, so a core that both threads share
+    goes to the caller.  Each thread draws from its own ``_streams(seed)``;
+    a step's draw is its stream's, whichever thread makes it.  Leaving the
+    context stops and joins the worker, and an exception in the worker is
+    raised in the caller.  ``wait_s`` is the caller's time spent drawing.
+    """
+
+    def __init__(self, seed: int, n_steps: int, n_particles: int, dim: int):
+        self.n_steps = n_steps
+        self.per_block = max(1, NOISE_BLOCK_BYTES // (8 * n_particles * dim))
+        self.wait_s = 0.0
+        self._seed = seed
+        self._buffers = np.empty((2, min(self.per_block, n_steps), n_particles, dim))
+        self._handover = threading.Condition()
+        self._finished = -1   # the last block the worker filled
+        self._reached = -1    # the block the caller is on; the ones before it are free
+        self._stopping = False
+        self._failure = None
+        self._worker = threading.Thread(target=self._fill, name="mfbridge-noise", daemon=True)
+
+    def _steps(self, k: int) -> range:
+        return range(k * self.per_block, min((k + 1) * self.per_block, self.n_steps))
+
+    def __enter__(self):
+        self._worker.start()
+        return self
+
+    def __exit__(self, exc_type, *exc_info):
+        with self._handover:
+            self._stopping = True
+            self._handover.notify()
+        self._worker.join()
+        if exc_type is None and self._failure is not None:
+            raise self._failure
+
+    def _fill(self) -> None:
+        try:
+            if sys.platform == "linux":  # nice is per thread there; a refusal only costs speed
+                with contextlib.suppress(OSError):
+                    os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+            stream, k = _streams(self._seed), 0
+            while True:
+                with self._handover:
+                    while not self._stopping and self._reached < k - 1:
+                        self._handover.wait()
+                    k = max(k, self._reached + 1)
+                    if self._stopping or k * self.per_block >= self.n_steps:
+                        return
+                buf = self._buffers[k % 2]
+                for i, j in enumerate(self._steps(k)):
+                    if self._reached >= k:   # the caller is drawing this block itself
+                        break
+                    stream(1 + j).standard_normal(out=buf[i])
+                else:
+                    with self._handover:
+                        self._finished = k
+                k += 1
+        except BaseException as exc:
+            self._failure = exc
+
+    def __iter__(self):
+        stream = own = None   # the caller's streams and step buffer, made when it first draws
+        for k in range((self.n_steps + self.per_block - 1) // self.per_block):
+            with self._handover:
+                if self._failure is not None:
+                    raise self._failure
+                ready = self._finished >= k
+                self._reached = k
+                self._handover.notify()
+            if ready:
+                yield from self._buffers[k % 2][:len(self._steps(k))]
+                continue
+            if stream is None:
+                stream, own = _streams(self._seed), np.empty(self._buffers.shape[2:])
+            for j in self._steps(k):
+                t0 = time.perf_counter()
+                stream(1 + j).standard_normal(out=own)
+                self.wait_s += time.perf_counter() - t0
+                yield own
 
 
 @dataclass
@@ -175,11 +278,12 @@ def _first_bad_row(values: np.ndarray, n_particles: int) -> str:
     return f"particle {bad % n_particles} of mode {bad // n_particles}"
 
 
-def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, rng: np.random.Generator,
+def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float, noise: np.ndarray,
          work: np.ndarray, post: np.ndarray, closed_loop: np.ndarray | None = None) -> EnsembleState:
     """One Euler-Maruyama update of every mode at row ``state.step_index`` of the step table.
 
-    One (B, d) normal draw from ``rng`` is added to every mode's rows.
+    The step's (B, d) standard-normal draw ``noise`` is added to every
+    mode's rows; it is read, not changed.
     ``work`` (WORK_SLOTS, M B, d) takes the drift and every intermediate,
     ``post`` (2, K, M B) the posterior's log-weights.  ``closed_loop``
     marks the modes whose kernel slots re-centre at their batch mean (None:
@@ -199,9 +303,8 @@ def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float
     gained *= dt
     state.energy += gained
     state.zone_energy += _particle_mean(uu.reshape(M, B, d)) * dt
-    xi = rng.standard_normal(out=work[2][:B])
     increment = np.multiply(u, dt, out=work[1]).reshape(M, B, d)
-    increment += np.multiply(math.sqrt(dt), xi, out=xi)
+    increment += np.multiply(math.sqrt(dt), noise, out=work[2][:B])
     by_mode += increment
     # one scan per step: a non-finite drift always leaves a non-finite position
     if not np.isfinite(state.positions).all():
@@ -235,6 +338,8 @@ class EnergyReport:
     seed: int = 0
     guidance_mode: str = ""
     wall_seconds: float = 0.0
+    step_loop_seconds: float = 0.0   # the pass's step loop, noise_wait_seconds included
+    noise_wait_seconds: float = 0.0  # the step loop's time drawing noise the worker had not drawn
 
     def summary(self) -> dict:
         def entry(v):
@@ -279,7 +384,9 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     guidance holds one mode per entry of ``modes``, defaults to
     ``tables_for_modes``; an unknown mode or a mode-count mismatch raises
     ValueError before any particle moves.  Returns one ``EnergyReport`` per
-    mode, in order; each carries the wall time of the whole pass.
+    mode, in order; each carries the whole pass's wall time, step-loop time
+    and the step loop's own noise drawing.  The noise thread is stopped and
+    joined on every way out.
     """
     t_start = time.perf_counter()
     modes = list(modes)
@@ -295,39 +402,41 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     M, B, d, n = len(modes), config.n_particles, config.dim, config.n_steps
     dt = 1.0 / n
     table = ctx.coeff_table(np.arange(n) * dt)
-    streams = _streams(config.seed)
-    state = sample_initial(config, streams(0), M)
     closed_loop = np.array([m == "cl" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(N_SAVED_PATHS, B)
     work = np.empty((WORK_SLOTS, M * B, d))
     post = np.empty((2, config.target.n_components, M * B))
-
-    by_mode = state.positions.reshape(M, B, d)
     power = np.empty((M, n))
     mean_trace = np.empty((M, n + 1, d))
     std_trace = np.empty((M, n + 1, d))
     trajectories = np.empty((M, n_saved, n + 1, d))
-    mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode, work[0])
-    trajectories[:, :, 0] = by_mode[:, :n_saved]
-
     # a snapshot is keyed by the time of the step it is recorded at
     snapshot_steps = {min(n, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
     snapshots = {}
-    if 0 in snapshot_steps:
-        snapshots[0.0] = by_mode.copy()
 
-    energy = state.energy.reshape(M, B)
-    prev_energy = np.zeros((M, B))
-    gained = np.empty((M, B))
-    for j in range(n):
-        step(state, ctx, table, dt, streams(1 + j), work, post, closed_loop)
-        power[:, j] = np.subtract(energy, prev_energy, out=gained).sum(axis=1) / B / dt
-        prev_energy[...] = energy
-        mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
-        trajectories[:, :, j + 1] = by_mode[:, :n_saved]
-        if j + 1 in snapshot_steps:
-            snapshots[(j + 1) / n] = by_mode.copy()
+    # the worker draws the first block while the initial draw is made from stream 0
+    with _NoiseBlocks(config.seed, n, B, d) as noise:
+        state = sample_initial(config, _streams(config.seed)(0), M)
+        by_mode = state.positions.reshape(M, B, d)
+        mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode, work[0])
+        trajectories[:, :, 0] = by_mode[:, :n_saved]
+        if 0 in snapshot_steps:
+            snapshots[0.0] = by_mode.copy()
+
+        energy = state.energy.reshape(M, B)
+        prev_energy = np.zeros((M, B))
+        gained = np.empty((M, B))
+        t_loop = time.perf_counter()
+        for j, xi in enumerate(noise):
+            step(state, ctx, table, dt, xi, work, post, closed_loop)
+            power[:, j] = np.subtract(energy, prev_energy, out=gained).sum(axis=1) / B / dt
+            prev_energy[...] = energy
+            mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
+            trajectories[:, :, j + 1] = by_mode[:, :n_saved]
+            if j + 1 in snapshot_steps:
+                snapshots[(j + 1) / n] = by_mode.copy()
+        loop_s = time.perf_counter() - t_loop
     # a finite drift past about 1e154 overflows its square, which the position scan misses
     if not np.isfinite(state.energy).all():
         raise DivergedError(f"non-finite energy for {_first_bad_row(state.energy[:, None], B)}")
@@ -373,5 +482,7 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
             seed=config.seed,
             guidance_mode=mode,
             wall_seconds=wall,
+            step_loop_seconds=loop_s,
+            noise_wait_seconds=noise.wait_s,
         ))
     return reports

@@ -424,6 +424,35 @@ def test_cli_guidance_check(tmp_path):
     assert (out / "midpoint_residuals.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+                                         ("--max-iter", "0"), ("--max-iter", "-3")])
+def test_cli_guidance_check_rejects_bad_iteration_limits(tmp_path, monkeypatch, capsys, flag, value):
+    import mfbridge.cli as climod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a particle run started")
+
+    monkeypatch.setattr(climod, "run_bridge", no_run)
+    out = tmp_path / "gc"
+    rc = main(["guidance-check", "--preset", "scenario-b", "--particles", "50", "--steps", "30",
+               flag, value, "--out", str(out)])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bridge_summary_reports_where_the_time_went(tmp_path):
+    out = tmp_path / "timed"
+    assert main(["bridge", "--preset", "scenario-b", "--particles", "200", "--steps", "100",
+                 "--modes", "mf,ia0", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    timings = summary["timings"]
+    assert set(timings) == {"tables_s", "step_loop_s", "noise_wait_s", "writing_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["noise_wait_s"] <= timings["step_loop_s"]
+    assert timings["tables_s"] + timings["step_loop_s"] + timings["writing_s"] <= summary["wall_seconds"] + 1.0
+
+
 def test_run_experiment_rejects_invalid():
     from mfbridge.cli import run_experiment
 

@@ -1,5 +1,7 @@
 import functools
 import hashlib
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -111,7 +113,7 @@ def _diverging_step(drift, positions):
     u = np.zeros((2 * B, d))
     u[B + 3] = drift
     work, post = np.empty((simulate.WORK_SLOTS, 2 * B, d)), np.empty((2, 1, 2 * B))
-    simulate.step(state, _Drift(u), _NoRows(), 0.01, _streams(1)(8), work, post)
+    simulate.step(state, _Drift(u), _NoRows(), 0.01, _streams(1)(8).standard_normal((B, d)), work, post)
 
 
 def test_non_finite_drift_is_named():
@@ -157,6 +159,96 @@ def test_run_bridge_names_the_mode_whose_energy_overflows(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DivergedError, match=r"non-finite energy for particle 17 of mode 1"):
         run_bridge(small_config(), ["mf", "ia0"])
+
+
+@pytest.mark.parametrize("path", ["worker", "caller"])
+@pytest.mark.parametrize("B, d, n_steps", [(1, 1, 40), (20_000, 2, 3), (1000, 3, 25)],
+                         ids=["one-particle", "one-step-blocks", "partial-last-block"])
+def test_noise_blocks_draw_each_steps_own_stream(monkeypatch, path, B, d, n_steps):
+    # "worker": every block is taken after the worker filled it; "caller": the worker draws nothing
+    if path == "caller":
+        monkeypatch.setattr(simulate._NoiseBlocks, "_fill", lambda self: None)
+    seed = 2**64 + 9
+    got = []
+    with simulate._NoiseBlocks(seed, n_steps, B, d) as noise:
+        draws = iter(noise)
+        for j in range(n_steps):
+            if path == "worker" and j % noise.per_block == 0:
+                while noise._finished < j // noise.per_block:
+                    time.sleep(0.001)
+            got.append(next(draws).copy())
+        assert next(draws, None) is None
+    assert (noise.wait_s == 0.0) == (path == "worker")
+    if B == 20_000:
+        assert noise.per_block == 1
+    if B == 1000:
+        assert n_steps % noise.per_block != 0 and noise.per_block < n_steps
+    for j, xi in enumerate(got):
+        want = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 1 + j])).standard_normal((B, d))
+        assert np.array_equal(xi, want), j
+
+
+def _patch_score_batch(monkeypatch, at, change):
+    """``change(u)`` is applied to the drift of the ``at``-th ``score_batch`` call (1-based)."""
+    original, calls = ScoreContext.score_batch, []
+
+    def score_batch(self, *args):
+        u = original(self, *args)
+        calls.append(None)
+        if len(calls) == at:
+            change(u)
+        return u
+    monkeypatch.setattr(ScoreContext, "score_batch", score_batch)
+
+
+def _set(value):
+    def change(u):
+        u[3, 0] = value
+    return change
+
+
+def _interrupt(u):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("way_out", ["return", "diverged", "energy-overflow", "interrupt", "first-step"])
+def test_run_bridge_leaves_no_thread_behind(monkeypatch, way_out):
+    before = threading.active_count()
+    cfg = small_config()
+    if way_out == "return":
+        run_bridge(cfg, ["mf"])
+    elif way_out == "diverged":
+        _patch_score_batch(monkeypatch, 41, _set(np.nan))
+        with pytest.raises(DivergedError, match="non-finite drift"):
+            run_bridge(cfg, ["mf"])
+    elif way_out == "energy-overflow":
+        _patch_score_batch(monkeypatch, 250, _set(1e160))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError, match="non-finite energy"):
+            run_bridge(cfg, ["mf"])
+    elif way_out == "interrupt":
+        _patch_score_batch(monkeypatch, 7, _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_bridge(cfg, ["mf"])
+    else:  # the first step fails while the worker still has blocks to fill
+        _patch_score_batch(monkeypatch, 1, _set(np.nan))
+        with pytest.raises(DivergedError, match="non-finite drift"):
+            run_bridge(small_config(n_particles=4000, n_steps=400), ["mf"])
+    assert threading.active_count() == before
+
+
+def test_a_failure_in_the_noise_thread_is_raised_in_the_caller(monkeypatch):
+    real = simulate._streams
+
+    def failing_in_the_worker(seed):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("injected in the noise thread")
+        return real(seed)
+
+    before = threading.active_count()
+    monkeypatch.setattr(simulate, "_streams", failing_in_the_worker)
+    with pytest.raises(MemoryError, match="injected in the noise thread"):
+        run_bridge(small_config(n_particles=4000), ["mf"])
+    assert threading.active_count() == before
 
 
 def test_pure_diffusion_when_score_vanishes():
