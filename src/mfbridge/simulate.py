@@ -14,9 +14,8 @@ Conventions:
     that key would;
   * the steps' draws are made one block of steps ahead on one worker
     thread with its own generator while the caller steps through the block
-    before; the caller draws a block itself when the worker has not
-    finished it.  No draw depends on the particles, so the results do not
-    depend on which thread made them;
+    before.  No draw depends on the particles, so the results do not
+    depend on when the worker makes it;
   * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
     to compare on it.  Their guidance reaches the run only through one
     ``CoeffTables`` that stacks it.  The modes advance together: their
@@ -37,6 +36,7 @@ import sys
 import threading
 import time
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,95 +79,59 @@ def _streams(seed: int):
 NOISE_BLOCK_BYTES = 256 * 1024   # draws per block of the noise thread, rounded down to whole steps
 
 
+def _lowest_priority() -> None:
+    """Lower the calling thread to nice 19 on Linux, where nice is per thread; a refusal only costs speed."""
+    if sys.platform == "linux":
+        with contextlib.suppress(OSError):
+            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+
+
 class _NoiseBlocks:
     """Step j's (B, d) draw from stream 1 + j, made one block of steps ahead on a worker thread.
 
     A block holds ``max(1, NOISE_BLOCK_BYTES // (8 B d))`` steps.  The
-    worker fills block k into buffer k % 2 once the caller has reached
-    block k - 1, and each block is handed over under one lock.  numpy fills
-    ``standard_normal(out=...)`` without the GIL, so the worker draws on a
-    second core while the caller steps.  The caller never waits for it: a
-    block the worker has not finished when the caller reaches it is drawn
-    by the caller, step by step, and the worker leaves it.  On Linux the
+    worker fills block k + 1 into one of two buffers while the caller steps
+    through block k in the other; numpy fills ``standard_normal(out=...)``
+    without the GIL, so the worker draws on a second core.  On Linux the
     worker runs at the lowest priority, so a core that both threads share
-    goes to the caller.  Each thread draws from its own ``_streams(seed)``;
-    a step's draw is its stream's, whichever thread makes it.  Leaving the
-    context stops and joins the worker, and an exception in the worker is
-    raised in the caller.  ``wait_s`` is the caller's time spent drawing.
+    goes to the caller.  The worker draws from its own ``_streams(seed)``.
+    Leaving the context joins the worker, and an exception in it is raised
+    in the caller.  ``wait_s`` is the caller's time spent waiting for
+    blocks.
     """
 
     def __init__(self, seed: int, n_steps: int, n_particles: int, dim: int):
         self.n_steps = n_steps
         self.per_block = max(1, NOISE_BLOCK_BYTES // (8 * n_particles * dim))
         self.wait_s = 0.0
-        self._seed = seed
+        self._stream = _streams(seed)
         self._buffers = np.empty((2, min(self.per_block, n_steps), n_particles, dim))
-        self._handover = threading.Condition()
-        self._finished = -1   # the last block the worker filled
-        self._reached = -1    # the block the caller is on; the ones before it are free
-        self._stopping = False
-        self._failure = None
-        self._worker = threading.Thread(target=self._fill, name="mfbridge-noise", daemon=True)
+        self._pool = ThreadPoolExecutor(1, "mfbridge-noise", initializer=_lowest_priority)
 
     def _steps(self, k: int) -> range:
         return range(k * self.per_block, min((k + 1) * self.per_block, self.n_steps))
 
+    def _fill(self, k: int) -> None:
+        buf = self._buffers[k % 2]
+        for i, j in enumerate(self._steps(k)):
+            self._stream(1 + j).standard_normal(out=buf[i])
+
     def __enter__(self):
-        self._worker.start()
+        self._next = self._pool.submit(self._fill, 0)
         return self
 
-    def __exit__(self, exc_type, *exc_info):
-        with self._handover:
-            self._stopping = True
-            self._handover.notify()
-        self._worker.join()
-        if exc_type is None and self._failure is not None:
-            raise self._failure
-
-    def _fill(self) -> None:
-        try:
-            if sys.platform == "linux":  # nice is per thread there; a refusal only costs speed
-                with contextlib.suppress(OSError):
-                    os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
-            stream, k = _streams(self._seed), 0
-            while True:
-                with self._handover:
-                    while not self._stopping and self._reached < k - 1:
-                        self._handover.wait()
-                    k = max(k, self._reached + 1)
-                    if self._stopping or k * self.per_block >= self.n_steps:
-                        return
-                buf = self._buffers[k % 2]
-                for i, j in enumerate(self._steps(k)):
-                    if self._reached >= k:   # the caller is drawing this block itself
-                        break
-                    stream(1 + j).standard_normal(out=buf[i])
-                else:
-                    with self._handover:
-                        self._finished = k
-                k += 1
-        except BaseException as exc:
-            self._failure = exc
+    def __exit__(self, *exc_info):
+        self._pool.shutdown()
 
     def __iter__(self):
-        stream = own = None   # the caller's streams and step buffer, made when it first draws
-        for k in range((self.n_steps + self.per_block - 1) // self.per_block):
-            with self._handover:
-                if self._failure is not None:
-                    raise self._failure
-                ready = self._finished >= k
-                self._reached = k
-                self._handover.notify()
-            if ready:
-                yield from self._buffers[k % 2][:len(self._steps(k))]
-                continue
-            if stream is None:
-                stream, own = _streams(self._seed), np.empty(self._buffers.shape[2:])
-            for j in self._steps(k):
-                t0 = time.perf_counter()
-                stream(1 + j).standard_normal(out=own)
-                self.wait_s += time.perf_counter() - t0
-                yield own
+        n_blocks = -(-self.n_steps // self.per_block)
+        for k in range(n_blocks):
+            t0 = time.perf_counter()
+            self._next.result()
+            self.wait_s += time.perf_counter() - t0
+            if k + 1 < n_blocks:
+                self._next = self._pool.submit(self._fill, k + 1)
+            yield from self._buffers[k % 2][:len(self._steps(k))]
 
 
 @dataclass
@@ -339,7 +303,7 @@ class EnergyReport:
     guidance_mode: str = ""
     wall_seconds: float = 0.0
     step_loop_seconds: float = 0.0   # the pass's step loop, noise_wait_seconds included
-    noise_wait_seconds: float = 0.0  # the step loop's time drawing noise the worker had not drawn
+    noise_wait_seconds: float = 0.0  # the step loop's time blocked on the noise thread
 
     def summary(self) -> dict:
         def entry(v):
@@ -385,7 +349,7 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     ``tables_for_modes``; an unknown mode or a mode-count mismatch raises
     ValueError before any particle moves.  Returns one ``EnergyReport`` per
     mode, in order; each carries the whole pass's wall time, step-loop time
-    and the step loop's own noise drawing.  The noise thread is stopped and
+    and the step loop's wait for the noise thread.  The noise thread is
     joined on every way out.
     """
     t_start = time.perf_counter()

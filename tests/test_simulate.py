@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import threading
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -161,24 +160,13 @@ def test_run_bridge_names_the_mode_whose_energy_overflows(monkeypatch):
         run_bridge(small_config(), ["mf", "ia0"])
 
 
-@pytest.mark.parametrize("path", ["worker", "caller"])
 @pytest.mark.parametrize("B, d, n_steps", [(1, 1, 40), (20_000, 2, 3), (1000, 3, 25)],
                          ids=["one-particle", "one-step-blocks", "partial-last-block"])
-def test_noise_blocks_draw_each_steps_own_stream(monkeypatch, path, B, d, n_steps):
-    # "worker": every block is taken after the worker filled it; "caller": the worker draws nothing
-    if path == "caller":
-        monkeypatch.setattr(simulate._NoiseBlocks, "_fill", lambda self: None)
+def test_noise_blocks_draw_each_steps_own_stream(B, d, n_steps):
     seed = 2**64 + 9
-    got = []
     with simulate._NoiseBlocks(seed, n_steps, B, d) as noise:
-        draws = iter(noise)
-        for j in range(n_steps):
-            if path == "worker" and j % noise.per_block == 0:
-                while noise._finished < j // noise.per_block:
-                    time.sleep(0.001)
-            got.append(next(draws).copy())
-        assert next(draws, None) is None
-    assert (noise.wait_s == 0.0) == (path == "worker")
+        got = [xi.copy() for xi in noise]
+    assert len(got) == n_steps
     if B == 20_000:
         assert noise.per_block == 1
     if B == 1000:
@@ -237,15 +225,16 @@ def test_run_bridge_leaves_no_thread_behind(monkeypatch, way_out):
 
 
 def test_a_failure_in_the_noise_thread_is_raised_in_the_caller(monkeypatch):
-    real = simulate._streams
+    real = simulate._NoiseBlocks._fill
 
-    def failing_in_the_worker(seed):
-        if threading.current_thread() is not threading.main_thread():
+    def failing_at_the_second_block(self, k):
+        assert threading.current_thread() is not threading.main_thread()
+        if k == 1:
             raise MemoryError("injected in the noise thread")
-        return real(seed)
+        real(self, k)
 
     before = threading.active_count()
-    monkeypatch.setattr(simulate, "_streams", failing_in_the_worker)
+    monkeypatch.setattr(simulate._NoiseBlocks, "_fill", failing_at_the_second_block)
     with pytest.raises(MemoryError, match="injected in the noise thread"):
         run_bridge(small_config(n_particles=4000), ["mf"])
     assert threading.active_count() == before
