@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -22,11 +21,11 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .greens import build_tables
-from .guidance import fixed_point_guidance, linear_guidance
+from .guidance import linear_guidance, midpoint_means, self_consistent_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import ExperimentConfig, check_config, load_config, preset, validate_config
 from .score import ScoreContext, _marginal_components, _mixture_logpdf
-from .simulate import SimConfig, mode_guidance, run_bridge, tables_for_modes
+from .simulate import SimConfig, _particle_mean, mode_guidance, run_bridge, tables_for_modes
 
 __all__ = ["main", "run_experiment"]
 
@@ -109,17 +108,25 @@ def _sim_config(config: ExperimentConfig, sweep_value=None, **extra) -> SimConfi
 def _affine_fit(modes: list, reports: list, sim_cfg: SimConfig, tables):
     """Least-squares fit u ~ -S x - s per mode and time slice, with R^2 (1-d runs).
 
-    Every mode's drift at one slice is one stacked evaluation.  Returns the
-    slice times and the fit (3, M, slices): S, s and R^2.
+    Every mode's drift at one slice is one stacked evaluation.  A ``cl``
+    mode's drift is re-centred at its snapshot's particle mean, as the
+    step that follows the snapshot re-centres it.  Returns the slice times
+    and the fit (3, M, slices): S, s and R^2.
     """
     ctx = ScoreContext(tables, sim_cfg.target, sim_cfg.initial)
     times = sorted(reports[0].snapshots)
     table = ctx.coeff_table(times)
     M = len(modes)
+    closed_loop = np.array([m == "cl" for m in modes])
     fit = np.empty((3, M, len(times)))
     for j, t_s in enumerate(times):
         X = np.concatenate([rep.snapshots[t_s] for rep in reports])
-        U = ctx.score_batch(table.row(j), X, reports[0].shifts)
+        co = table.row(j)
+        nu_hat = None
+        if closed_loop.any():
+            nu_hat = np.where(closed_loop[:, None], _particle_mean(X.reshape(M, -1, X.shape[1])),
+                              co.nu.reshape(M, -1))
+        U = ctx.score_batch(co, X, reports[0].shifts, nu_hat)
         for i, (x, u) in enumerate(zip(X.reshape(M, -1), U.reshape(M, -1))):
             A = np.column_stack([-x, -np.ones_like(x)])
             coef, *_ = np.linalg.lstsq(A, u, rcond=None)
@@ -323,8 +330,6 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
 
 def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     sim_cfg = _sim_config(config)
-    if sim_cfg.dim != 1:
-        raise ConfigError("density emission is 1-d only")
     ctxs = [ScoreContext(build_tables(sim_cfg.schedule, mode_guidance(sim_cfg, m), sim_cfg.n_steps),
                          sim_cfg.target, sim_cfg.initial)
             for m in config.modes]
@@ -342,35 +347,24 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
                ([[t] * xs.size, xs, *at_t] for t, at_t in zip(times, curves)))
 
 
-def _run_guidance_check(config: ExperimentConfig, out: Path, tol: float = 2e-4, max_iter: int = 15) -> dict:
+def _run_guidance_check(config: ExperimentConfig, out: Path) -> dict:
+    """The self-consistent guidance against the linear interpolant at the interval midpoints, with no particle run."""
     sim_cfg = _sim_config(config)
-    sched = sim_cfg.schedule
+    sched, target, initial = sim_cfg.schedule, sim_cfg.target, sim_cfg.initial
     mids = sched.midpoints()
-    mid_steps = np.clip(np.round(mids * config.n_steps).astype(int), 0, config.n_steps)
+    nu, J = self_consistent_guidance(sched, target, initial)
+    lin_mid = linear_guidance(sim_cfg.initial_mean, target.mean, mids)
+    resid = nu - lin_mid
 
-    def mean_map(nu_values):
-        rep, = run_bridge(sim_cfg, ["mf"], build_tables(sched, nu_values, config.n_steps))
-        return rep.mean_trace[mid_steps]
-
-    nu0 = np.repeat(sim_cfg.target.mean[None, :], sched.n_intervals, axis=0)
-    result = fixed_point_guidance(sched, mean_map, nu0, tol=tol, max_iter=max_iter)
-
-    lin_mid = linear_guidance(sim_cfg.initial_mean, sim_cfg.target.mean, mids)
-    resid = result.values - lin_mid
-
-    _write_csv(out / "guidance_check.csv", ["iteration", "max_update"], ["%d", "%.8g"],
-               [[range(1, len(result.max_updates) + 1), result.max_updates]])
     _write_csv(out / "midpoint_residuals.csv", ["interval", "t_mid", "nu_fixed_point", "nu_linear", "residual"],
                ["%d", "%.6f", "%s", "%s", "%.8g"],
-               [[range(len(mids)), mids, [_joined(v, "%.8g") for v in result.values],
+               [[range(len(mids)), mids, [_joined(v, "%.8g") for v in nu],
                  [_joined(v, "%.8g") for v in lin_mid], [np.linalg.norm(r) for r in resid]]])
 
     summary = {
-        "converged": result.converged,
-        "iterations": result.n_iterations,
-        "tolerance": tol,
-        "max_updates": result.max_updates,
         "max_residual_vs_linear": float(np.max(np.linalg.norm(resid, axis=1))),
+        "contraction_factor": float(np.max(np.abs(np.linalg.eigvals(J)))),
+        "self_consistency_residual": float(np.max(np.abs(midpoint_means(sched, nu, target, initial) - nu))),
         "config": asdict(config),
     }
     _write_json(out / "summary.json", summary)
@@ -414,6 +408,17 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _load_target_config(args) -> ExperimentConfig:
+    """A validated config with a target mixture: what ``density`` and ``guidance-check`` evaluate."""
+    cfg = _load(args)
+    errors = validate_config(cfg)
+    if cfg.target is None and not errors:
+        errors = [f"{args.verb} needs a target mixture; the config has only an lqg section"]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return cfg
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: ``parse_args`` keeps no state in it."""
@@ -451,10 +456,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--times", default="0.1,0.3,0.5,0.7,1.0")
 
-    p = sub.add_parser("guidance-check", help="fixed-point iteration diagnostics")
+    p = sub.add_parser("guidance-check", help="exact self-consistent guidance against the linear interpolant")
     common(p)
-    p.add_argument("--tol", type=float, default=2e-4)
-    p.add_argument("--max-iter", type=int, default=15, dest="max_iter")
 
     p = sub.add_parser("validate", help="validate a config / preset")
     common(p)
@@ -509,10 +512,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.verb == "density":
-            cfg = _load(args)
-            errors = validate_config(cfg)
-            if errors:
-                raise ConfigError("; ".join(errors))
+            cfg = _load_target_config(args)
+            if cfg.d != 1:
+                raise ConfigError(f"density emission is 1-d only, got d={cfg.d}")
             times = _floats("--times", args.times)
             if not times:
                 raise ConfigError("--times: no times given")
@@ -525,18 +527,11 @@ def main(argv=None) -> int:
             return 0
 
         if args.verb == "guidance-check":
-            if not (math.isfinite(args.tol) and args.tol > 0):
-                raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
-            if args.max_iter < 1:
-                raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
-            cfg = _load(args)
-            errors = validate_config(cfg)
-            if errors:
-                raise ConfigError("; ".join(errors))
+            cfg = _load_target_config(args)
             out.mkdir(parents=True, exist_ok=True)
-            summary = _run_guidance_check(cfg, out, tol=args.tol, max_iter=args.max_iter)
-            status = "converged" if summary["converged"] else "NOT converged"
-            print(f"{status} in {summary['iterations']} iterations; "
+            summary = _run_guidance_check(cfg, out)
+            print(f"contraction factor {summary['contraction_factor']:.4g}; "
+                  f"self-consistency residual {summary['self_consistency_residual']:.2g}; "
                   f"max residual vs linear {summary['max_residual_vs_linear']:.4g}")
             return 0
 

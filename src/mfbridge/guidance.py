@@ -2,19 +2,27 @@
 
 A mode's guidance is an (M, d) array of per-interval values.  The linear
 interpolant between endpoint means is the mean-field guidance, sampled at
-the interval midpoints for the coefficient tables; a Picard fixed-point
-iteration on per-interval values is retained for validation only.
+the interval midpoints for the coefficient tables.
+
+Self-consistency asks the guidance to equal the ensemble mean it steers.
+Given the endpoints, each marginal component's weight is fixed and its mean
+is affine in the guidance, so the map nu -> f(nu), the exact ensemble means
+at the interval midpoints, is affine: f(nu) = f(0) + J nu.
+``self_consistent_guidance`` builds f(0) and the M d columns of J from the
+closed-form marginals, with no particle run, and solves (I - J) nu* = f(0).
+The paper's theorem makes nu* the linear interpolant in the limit of fine
+intervals; on a coarse schedule the two differ at the midpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .greens import build_tables
 from .schedule import PwcSchedule
+from .score import GaussianMixture, ScoreContext, _marginal_components
 
-__all__ = ["linear_guidance", "fixed_point_guidance", "FixedPointResult"]
+__all__ = ["linear_guidance", "midpoint_means", "self_consistent_guidance"]
 
 
 def linear_guidance(m_in, m_tar, t) -> np.ndarray:
@@ -29,40 +37,25 @@ def linear_guidance(m_in, m_tar, t) -> np.ndarray:
     return np.outer(1.0 - t, m_in) + np.outer(t, m_tar)
 
 
-@dataclass
-class FixedPointResult:
-    values: np.ndarray  # (M, d) per-interval guidance of the last iterate
-    max_updates: list
-    converged: bool
-    n_iterations: int
+def midpoint_means(schedule: PwcSchedule, nu, target: GaussianMixture,
+                   initial: GaussianMixture | None = None) -> np.ndarray:
+    """f(nu): the exact ensemble mean (M, d) at each interval midpoint under the per-interval guidance nu (M, d)."""
+    ctx = ScoreContext(build_tables(schedule, nu), target, initial)
+    return np.array([np.exp(log_ws) @ means
+                     for log_ws, means, _ in (_marginal_components(ctx, t) for t in schedule.midpoints())])
 
 
-def fixed_point_guidance(
-    schedule: PwcSchedule,
-    mean_map,
-    nu0: np.ndarray,
-    tol: float = 2e-4,
-    max_iter: int = 15,
-) -> FixedPointResult:
-    """Plain Picard iteration of the self-consistency map on PWC values.
+def self_consistent_guidance(schedule: PwcSchedule, target: GaussianMixture,
+                             initial: GaussianMixture | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The guidance nu* (M, d) with f(nu*) = nu*, and the Jacobian J (M d, M d) of the affine map f.
 
-    ``mean_map`` takes per-interval guidance values (M, d) and returns the
-    empirical ensemble means at the interval midpoints under that guidance.
-    For a deterministic contraction the caller should evaluate the map with
-    common random numbers across iterations.  Non-convergence returns the
-    last iterate flagged converged=False.
+    f(0) and one column of J per unit guidance vector take M d + 1 table
+    builds.  J acts on the guidance flattened interval by interval; its
+    spectral radius is the contraction factor of the Picard iteration
+    nu <- f(nu).  Raises ``numpy.linalg.LinAlgError`` if I - J is singular.
     """
-    nu = np.atleast_2d(np.asarray(nu0, dtype=float)).copy()
-    if nu.shape[0] != schedule.n_intervals:
-        raise ValueError(f"need one value per interval: {nu.shape[0]} vs {schedule.n_intervals}")
-    updates = []
-    for k in range(max_iter):
-        nu_next = np.atleast_2d(mean_map(nu))
-        if nu_next.shape != nu.shape:
-            raise ValueError(f"mean_map changed shape: {nu_next.shape} vs {nu.shape}")
-        delta = float(np.max(np.linalg.norm(nu_next - nu, axis=1)))
-        updates.append(delta)
-        nu = nu_next
-        if delta < tol:
-            return FixedPointResult(nu, updates, True, k + 1)
-    return FixedPointResult(nu, updates, False, max_iter)
+    M, d = schedule.n_intervals, target.dim
+    f0 = midpoint_means(schedule, np.zeros((M, d)), target, initial).ravel()
+    J = np.column_stack([midpoint_means(schedule, e.reshape(M, d), target, initial).ravel() - f0
+                         for e in np.eye(M * d)])
+    return np.linalg.solve(np.eye(M * d) - J, f0).reshape(M, d), J

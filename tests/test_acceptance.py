@@ -291,7 +291,7 @@ def test_criterion_7_component_and_correlation_sweeps():
 
 def test_criterion_8_fixed_point_consistency():
     t0 = time.perf_counter()
-    from mfbridge.guidance import fixed_point_guidance
+    from fixed_point import fixed_point_guidance
 
     sched = geometric_schedule(12.0, 0.65, 8)
     bounds = {"A": 0.078 * 1.5, "B": 0.030 * 1.5}

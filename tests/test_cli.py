@@ -345,6 +345,38 @@ def test_affine_fit_slices_lie_on_the_step_grid(tmp_path):
     assert all(abs(t * 20 - round(t * 20)) < 1e-9 for t in ts)
 
 
+def test_affine_fit_of_cl_rows_uses_the_recentred_drift(tmp_path):
+    # the closed loop's kernel slots re-centre at the batch mean each step,
+    # so its fit must be of that drift, not of the open-loop kernel
+    from mfbridge.cli import AFFINE_FIT_SLICES, _sim_config
+    from mfbridge.score import ScoreContext
+    from mfbridge.simulate import run_bridge, tables_for_modes
+
+    out = tmp_path / "cl"
+    assert main(["bridge", "--preset", "scenario-b", "--modes", "mf,cl", "--particles", "400",
+                 "--steps", "250", "--out", str(out)]) == 0
+    with open(out / "affine_fit.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["mode"] == "cl"]
+    cfg = preset("scenario-b")
+    cfg.n_particles, cfg.n_steps = 400, 250
+    sim_cfg = _sim_config(cfg, snapshot_times=tuple(np.linspace(0.01, 0.99, AFFINE_FIT_SLICES)))
+    rep = run_bridge(sim_cfg, ["cl"])[0]
+    ctx = ScoreContext(tables_for_modes(sim_cfg, ["cl"]), sim_cfg.target, sim_cfg.initial)
+    j = len(rows) // 2
+    t = sorted(rep.snapshots)[j]
+    assert float(rows[j]["t"]) == pytest.approx(t, abs=1e-6)
+    x = rep.snapshots[t]
+
+    def fit(nu_hat):
+        u = ctx.score_batch(ctx.coeffs(t), x, rep.shifts, nu_hat)
+        return np.linalg.lstsq(np.column_stack([-x[:, 0], -np.ones(len(x))]), u[:, 0], rcond=None)[0]
+
+    S, s = fit(x.mean(axis=0))
+    assert float(rows[j]["S"]) == pytest.approx(S, rel=1e-7)
+    assert float(rows[j]["s"]) == pytest.approx(s, rel=1e-7)
+    assert abs(fit(None)[1] - s) > 1e-3   # the open-loop fit is a different drift
+
+
 def test_cli_sweep_table(tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--preset", "ar-sweep", "--values", "0.0,0.5",
@@ -413,15 +445,25 @@ def test_trajectories_csv_rows_match_the_report(tmp_path, name, value):
     assert rows[1:] == want
 
 
-def test_cli_guidance_check(tmp_path):
+def test_cli_guidance_check_solves_the_map_without_a_particle_run(tmp_path, monkeypatch):
+    import mfbridge.cli as climod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a particle run started")
+
+    monkeypatch.setattr(climod, "run_bridge", no_run)
     out = tmp_path / "gc"
-    rc = main(["guidance-check", "--preset", "scenario-b", "--particles", "600",
-               "--steps", "250", "--max-iter", "12", "--out", str(out)])
-    assert rc == 0
+    assert main(["guidance-check", "--preset", "scenario-b", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["iterations"] <= 12
-    assert (out / "guidance_check.csv").exists()
-    assert (out / "midpoint_residuals.csv").exists()
+    assert set(summary) == {"max_residual_vs_linear", "contraction_factor", "self_consistency_residual", "config"}
+    assert summary["self_consistency_residual"] <= 1e-12
+    assert summary["max_residual_vs_linear"] == pytest.approx(4.83e-3, abs=1e-4)
+    assert summary["contraction_factor"] == pytest.approx(0.265, abs=1e-3)
+    assert sorted(p.name for p in out.iterdir()) == ["midpoint_residuals.csv", "summary.json"]
+    with open(out / "midpoint_residuals.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["interval", "t_mid", "nu_fixed_point", "nu_linear", "residual"]
+    assert max(float(r["residual"]) for r in rows) == pytest.approx(summary["max_residual_vs_linear"], rel=1e-7)
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
@@ -438,6 +480,20 @@ def test_cli_guidance_check_rejects_bad_iteration_limits(tmp_path, monkeypatch, 
                flag, value, "--out", str(out)])
     assert rc == 1
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb_args, message", [
+    (["density", "--config", "lqg-only.cfg"], "density needs a target mixture"),
+    (["guidance-check", "--config", "lqg-only.cfg"], "guidance-check needs a target mixture"),
+    (["density", "--preset", "ar-sweep"], "density emission is 1-d only"),
+], ids=["density-lqg-only", "guidance-check-lqg-only", "density-d8"])
+def test_verbs_refuse_a_config_they_cannot_run_before_writing(tmp_path, capsys, verb_args, message):
+    (tmp_path / "lqg-only.cfg").write_text("lqg.sigma_tar = 0.3\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in verb_args]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

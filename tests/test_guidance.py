@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mfbridge.guidance import fixed_point_guidance, linear_guidance
+from fixed_point import fixed_point_guidance
+from mfbridge.guidance import linear_guidance, midpoint_means, self_consistent_guidance
 from mfbridge.lqg import sinh_ratio
-
+from mfbridge.schedule import PwcSchedule
+from mfbridge.score import GaussianMixture
 
 
 def test_linear_scenario_values():
@@ -66,3 +68,57 @@ def test_degenerate_symmetric_fixed_point(paper_schedule):
     assert res.converged
     assert res.n_iterations == 1
     assert np.all(res.values == 0.0)
+
+
+PROBLEMS = ["delta", "mixture", "ar1-delta", "ar1-mixture"]
+
+
+def _problem(name, dr_target, initial_b):
+    """(target, initial): delta and mixture starts at d = 1, and the same with a d = 3 AR(1) target."""
+    if name.startswith("ar1"):
+        target = GaussianMixture.spatial_ar1([0.6, 0.4], [0.0, 1.5], [0.2, 0.3], 0.5, 3)
+        initial = GaussianMixture.spatial_ar1([0.6, 0.4], [1.5, 5.5], [0.5, 0.7], 0.5, 3)
+    else:
+        target, initial = dr_target, initial_b
+    return target, (initial if name.endswith("mixture") else None)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_midpoint_map_is_affine(paper_schedule, dr_target, initial_b, name):
+    target, initial = _problem(name, dr_target, initial_b)
+    a, b = np.random.default_rng(3).normal(0.0, 2.0, (2, paper_schedule.n_intervals, target.dim))
+    f = lambda nu: midpoint_means(paper_schedule, nu, target, initial)
+    second_difference = f(a + b) - f(a) - f(b) + f(np.zeros_like(a))
+    assert np.max(np.abs(second_difference)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_exact_solve_is_the_picard_limit(paper_schedule, dr_target, initial_b, name):
+    target, initial = _problem(name, dr_target, initial_b)
+    nu, J = self_consistent_guidance(paper_schedule, target, initial)
+    f = lambda v: midpoint_means(paper_schedule, v, target, initial)
+    assert J.shape == (nu.size, nu.size)
+    assert np.max(np.abs(f(nu) - nu)) <= 1e-12
+    # the map contracts, so Picard on the exact map converges to the same point
+    assert np.max(np.abs(np.linalg.eigvals(J))) < 1.0
+    res = fixed_point_guidance(paper_schedule, f, np.zeros_like(nu), tol=1e-13, max_iter=200)
+    assert res.converged
+    assert np.max(np.abs(res.values - nu)) <= 1e-10
+
+
+@pytest.mark.parametrize("start", ["delta", "mixture"])
+def test_self_consistent_guidance_tends_to_the_interpolant(paper_schedule, dr_target, initial_b, start):
+    # the paper's theorem: with beta(t) held, refining the intervals drives the
+    # self-consistent guidance onto the linear interpolant at first order in
+    # the width, so each halving cuts the midpoint residual about fourfold
+    initial = initial_b if start == "mixture" else None
+    m_in = initial.mean if initial is not None else np.zeros(1)
+    bp, betas = paper_schedule.breakpoints, paper_schedule.betas
+    residuals = []
+    for pieces in (1, 2, 4, 8):
+        fine = np.concatenate([np.linspace(lo, hi, pieces + 1)[:-1] for lo, hi in zip(bp[:-1], bp[1:])] + [[1.0]])
+        sched = PwcSchedule(fine, np.repeat(betas, pieces))
+        nu, _ = self_consistent_guidance(sched, dr_target, initial)
+        lin = linear_guidance(m_in, dr_target.mean, sched.midpoints())
+        residuals.append(float(np.max(np.abs(nu - lin))))
+    assert all(fine <= coarse / 3.0 for coarse, fine in zip(residuals, residuals[1:])), residuals
