@@ -267,10 +267,6 @@ def _to_basis(U, A):
     return A if U is None else A @ U
 
 
-def _from_basis(U, A):
-    return A if U is None else A @ U.T
-
-
 class ScoreContext:
     """The coefficient tables of one or more guidance modes, the target mixture and its shared eigenbases.
 
@@ -428,59 +424,38 @@ class ScoreContext:
 def _marginal_components(ctx: ScoreContext, t: float):
     """The time-t marginal as a Gaussian mixture: log weights (C,), means (C, d) and covariances (C, d, d).
 
-    Delta start: one component per target component k, assembled from its
-    natural parameters (precision M_k, diagonal in the component's basis,
-    and h_k) and weighted by its Gaussian mass.  Mixture start: J x K
-    components obtained by conditioning on the start draw and the terminal
-    point; the pinned kernel between them is Gaussian with precision
-    a_plus + a_minus, which pushes endpoint covariances through two affine
-    maps.
+    J x K components, obtained by conditioning on the start draw and the
+    terminal point; the pinned kernel between them is Gaussian with
+    precision a_plus + a_minus, which pushes endpoint covariances through
+    two affine maps.  A delta start is the one point-mass start component
+    (weight 1, mean 0, covariance 0), so it gives K components.
     """
     co = ctx.coeffs(t)
     d = ctx.target.dim
     P = co.a_plus + co.a
-    log_ws, means, covs = [], [], []
     if ctx.initial is None:
-        # unnormalized component k: pi_k |S_k|^{-1/2} exp(-x.M_k.x/2 + h_k.x - g_k/2);
-        # the probe factors are alpha = b/K and dbar = (theta_y - theta_plus(1))/K
-        Kt = co.K
-        alpha, dbar = co.probe_x, co.probe_0
-        h0 = co.theta_plus + co.theta_x + co.b * dbar
-        for U, sl in ctx.bases:
-            h0e, de = _to_basis(U, h0), _to_basis(U, dbar)
-            for lam, v, log_pi in zip(ctx._lam[sl], ctx._means_basis[sl], ctx._log_weights[sl]):
-                noise = lam + 1.0 / Kt                      # S_k eigenvalues
-                M_diag = (P - co.b**2 / Kt) + alpha**2 / noise
-                if np.any(M_diag <= 0):
-                    raise ProbeError(f"non-PD marginal precision at t={t}")
-                h_eig = h0e + alpha * (v - de) / noise
-                quad = np.sum((v - de) ** 2 / noise)
-                log_ws.append(log_pi - 0.5 * np.sum(np.log(noise)) - 0.5 * quad
-                              + 0.5 * np.sum(h_eig**2 / M_diag) - 0.5 * np.sum(np.log(M_diag)) + 0.5 * d * LOG_2PI)
-                means.append(_from_basis(U, h_eig / M_diag))
-                cov = np.diag(1.0 / M_diag)
-                covs.append(cov if U is None else U @ cov @ U.T)
-        log_ws = np.array(log_ws) - _logsumexp(np.array(log_ws))
+        init_weights, init_means, init_covs = np.ones(1), np.zeros((1, d)), np.zeros((1, d, d))
     else:
-        fac_init = co.a_plus - co.lam_plus
-        base = (co.theta_plus + co.theta_x) / P
-        for j in range(ctx.initial.n_components):
-            for k in range(ctx.target.n_components):
-                means.append(base + (fac_init * ctx.initial.means[j] + co.b * ctx.target.means[k]) / P)
-                covs.append(np.eye(d) / P
-                            + (fac_init / P) ** 2 * ctx.initial.covariances[j]
-                            + (co.b / P) ** 2 * ctx.target.covariances[k])
-                log_ws.append(np.log(ctx.initial.weights[j] * ctx.target.weights[k]))
-        log_ws = np.array(log_ws)
-    return log_ws, np.array(means), np.array(covs)
+        init_weights, init_means, init_covs = ctx.initial.weights, ctx.initial.means, ctx.initial.covariances
+    log_ws, means, covs = [], [], []
+    fac_init = co.a_plus - co.lam_plus
+    base = (co.theta_plus + co.theta_x) / P
+    for j in range(init_weights.size):
+        for k in range(ctx.target.n_components):
+            means.append(base + (fac_init * init_means[j] + co.b * ctx.target.means[k]) / P)
+            covs.append(np.eye(d) / P
+                        + (fac_init / P) ** 2 * init_covs[j]
+                        + (co.b / P) ** 2 * ctx.target.covariances[k])
+            log_ws.append(np.log(init_weights[j] * ctx.target.weights[k]))
+    return np.array(log_ws), np.array(means), np.array(covs)
 
 
 def marginal_density(ctx: ScoreContext, t: float, x, log: bool = False):
     """Normalized time-t marginal of the controlled bridge at positions x.
 
     The marginal is the Gaussian mixture ``_marginal_components`` assembles
-    from the coefficient tables: K components for a delta start, J x K for a
-    mixture start.
+    from the coefficient tables: J x K components for a start of J
+    components, K for a delta start.
     """
     out = _mixture_logpdf(*_marginal_components(ctx, t), x)
     return out if log else np.exp(out)

@@ -1,8 +1,10 @@
-"""Plain Picard iteration of a self-consistency map, for the tests.
+"""The self-consistency map from the full marginal mixtures, and plain Picard iteration, for the tests.
 
-The package solves the midpoint map exactly (``guidance.self_consistent_guidance``);
-the tests iterate it, or a particle estimate of it, to check that solve and
-the paper's fixed-point claim.
+The package solves the midpoint map exactly from the endpoint means alone
+(``guidance.self_consistent_guidance``).  ``midpoint_means`` reads the same
+map off every component of the closed-form marginals; the tests compare the
+two, and iterate the map, or a particle estimate of it, to check that solve
+and the paper's fixed-point claim.
 """
 
 from __future__ import annotations
@@ -11,7 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mfbridge.greens import build_tables
 from mfbridge.schedule import PwcSchedule
+from mfbridge.score import GaussianMixture, ScoreContext, _marginal_components
+
+
+def midpoint_means(schedule: PwcSchedule, nu, target: GaussianMixture,
+                   initial: GaussianMixture | None = None) -> np.ndarray:
+    """f(nu): the exact ensemble mean (M, d) at each interval midpoint under the per-interval guidance nu (M, d)."""
+    ctx = ScoreContext(build_tables(schedule, nu), target, initial)
+    return np.array([np.exp(log_ws) @ means
+                     for log_ws, means, _ in (_marginal_components(ctx, t) for t in schedule.midpoints())])
+
+
+def marginal_fixed_point(schedule: PwcSchedule, target: GaussianMixture,
+                         initial: GaussianMixture | None = None) -> np.ndarray:
+    """nu* (M, d) with midpoint_means(nu*) = nu*, from f(0) and one column of the Jacobian per unit guidance vector."""
+    M, d = schedule.n_intervals, target.dim
+    f0 = midpoint_means(schedule, np.zeros((M, d)), target, initial).ravel()
+    J = np.column_stack([midpoint_means(schedule, e.reshape(M, d), target, initial).ravel() - f0
+                         for e in np.eye(M * d)])
+    return np.linalg.solve(np.eye(M * d) - J, f0).reshape(M, d)
 
 
 @dataclass

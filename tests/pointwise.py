@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from mfbridge.score import ScoreContext, _from_basis, _rows, _to_basis
+from mfbridge.score import ScoreContext, _rows, _to_basis
+
+
+def _from_basis(U, A):
+    return A if U is None else A @ U.T
 
 
 def probe(ctx: ScoreContext, t: float, x) -> tuple[float, np.ndarray]:

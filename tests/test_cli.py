@@ -466,9 +466,22 @@ def test_cli_guidance_check_solves_the_map_without_a_particle_run(tmp_path, monk
     assert max(float(r["residual"]) for r in rows) == pytest.approx(summary["max_residual_vs_linear"], rel=1e-7)
 
 
+def test_cli_guidance_check_on_a_multi_zone_preset(tmp_path):
+    out = tmp_path / "gc"
+    assert main(["guidance-check", "--preset", "k-sweep", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["self_consistency_residual"] <= 1e-12
+    with open(out / "midpoint_residuals.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = preset("k-sweep")
+    assert cfg.d > 1 and len(rows) == cfg.intervals
+    assert all(len(r["nu_fixed_point"].split()) == cfg.d and len(r["nu_linear"].split()) == cfg.d for r in rows)
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
                                          ("--max-iter", "0"), ("--max-iter", "-3")])
-def test_cli_guidance_check_rejects_bad_iteration_limits(tmp_path, monkeypatch, capsys, flag, value):
+def test_cli_guidance_check_refuses_the_removed_iteration_flags(tmp_path, monkeypatch, capsys, flag, value):
+    # the exact solve has no iteration limits: argparse refuses the old flags as unknown
     import mfbridge.cli as climod
 
     def no_run(*args, **kwargs):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fixed_point import fixed_point_guidance
-from mfbridge.guidance import linear_guidance, midpoint_means, self_consistent_guidance
+from fixed_point import fixed_point_guidance, marginal_fixed_point, midpoint_means
+from mfbridge.guidance import linear_guidance, self_consistent_guidance
 from mfbridge.lqg import sinh_ratio
 from mfbridge.schedule import PwcSchedule
 from mfbridge.score import GaussianMixture
@@ -95,7 +95,8 @@ def test_midpoint_map_is_affine(paper_schedule, dr_target, initial_b, name):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_exact_solve_is_the_picard_limit(paper_schedule, dr_target, initial_b, name):
     target, initial = _problem(name, dr_target, initial_b)
-    nu, J = self_consistent_guidance(paper_schedule, target, initial)
+    m_in = initial.mean if initial is not None else np.zeros(target.dim)
+    nu, J = self_consistent_guidance(paper_schedule, m_in, target.mean)
     f = lambda v: midpoint_means(paper_schedule, v, target, initial)
     assert J.shape == (nu.size, nu.size)
     assert np.max(np.abs(f(nu) - nu)) <= 1e-12
@@ -118,7 +119,51 @@ def test_self_consistent_guidance_tends_to_the_interpolant(paper_schedule, dr_ta
     for pieces in (1, 2, 4, 8):
         fine = np.concatenate([np.linspace(lo, hi, pieces + 1)[:-1] for lo, hi in zip(bp[:-1], bp[1:])] + [[1.0]])
         sched = PwcSchedule(fine, np.repeat(betas, pieces))
-        nu, _ = self_consistent_guidance(sched, dr_target, initial)
+        nu, _ = self_consistent_guidance(sched, m_in, dr_target.mean)
         lin = linear_guidance(m_in, dr_target.mean, sched.midpoints())
         residuals.append(float(np.max(np.abs(nu - lin))))
     assert all(fine <= coarse / 3.0 for coarse, fine in zip(residuals, residuals[1:])), residuals
+
+
+def _mixtures_with_mean(mean, rho):
+    """Three mixtures of the mean ``mean`` (d,) that differ in K, weights and covariances (AR(1) ones if d > 1)."""
+    mean = np.asarray(mean, dtype=float)
+    direction = np.linspace(1.0, -0.5, mean.size)
+    specs = [([1.0], [0.0], [0.4]),
+             ([0.25, 0.75], [-1.5, 0.5], [0.2, 0.6]),
+             ([0.5, 0.3, 0.2], [0.6, -2.0, 1.5], [0.3, 0.15, 0.9])]   # weighted offsets sum to 0
+    out = []
+    for weights, offsets, sigmas in specs:
+        means = mean + np.outer(offsets, direction)
+        out.append(GaussianMixture.isotropic(weights, means, sigmas) if mean.size == 1
+                   else GaussianMixture.spatial_ar1(weights, means, sigmas, rho, mean.size))
+    return out
+
+
+ENDPOINT_MEANS = {1: ([3.1], [0.6]), 3: ([3.1, 2.0, 4.5], [0.6, 0.2, 1.1])}
+
+
+@pytest.mark.parametrize("start", ["delta", "mixture"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_fixed_point_depends_on_the_mixtures_only_through_their_means(paper_schedule, d, start):
+    # the paper's claim for arbitrary densities: mixtures that share their means
+    # but differ in K, weights and covariances have one self-consistent guidance
+    m_in, m_tar = ENDPOINT_MEANS[d]
+    if start == "delta":
+        m_in, initials = np.zeros(d), [None]
+    else:
+        initials = _mixtures_with_mean(m_in, 0.3)
+    nu, _ = self_consistent_guidance(paper_schedule, m_in, m_tar)
+    for initial in initials:
+        for target in _mixtures_with_mean(m_tar, 0.5):
+            assert np.max(np.abs(marginal_fixed_point(paper_schedule, target, initial) - nu)) <= 1e-12
+
+
+@pytest.mark.parametrize("start", ["delta", "mixture"])
+def test_zones_decouple(paper_schedule, start):
+    m_in, m_tar = ENDPOINT_MEANS[3]
+    m_in = np.zeros(3) if start == "delta" else np.asarray(m_in)
+    nu, _ = self_consistent_guidance(paper_schedule, m_in, m_tar)
+    for z in range(3):
+        nu_z, _ = self_consistent_guidance(paper_schedule, m_in[z], m_tar[z])
+        assert np.max(np.abs(nu[:, z] - nu_z[:, 0])) <= 1e-12
