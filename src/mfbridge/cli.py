@@ -233,6 +233,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
             "tables_s": t_run - t_wall,
             "step_loop_s": runs[0].step_loop_seconds,
             "noise_wait_s": runs[0].noise_wait_seconds,
+            "noise_draw_s": runs[0].noise_draw_seconds,
             "writing_s": time.perf_counter() - t_ran,
         },
         "modes": {m: reports[m].summary() for m in config.modes},

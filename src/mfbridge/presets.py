@@ -390,6 +390,11 @@ def check_config(config: ExperimentConfig) -> list:
             errors.append(f"unknown mode {m!r}; available: {list(GUIDANCE_MODES)}")
     if len(set(config.modes)) < len(config.modes):
         errors.append(f"guidance modes repeat: {config.modes}")
+    if config.sweep_axis in SWEEP_TAGS:
+        # two values with one tag would run into one directory and one table row each
+        tags = [config.point_tag(v) for v in config.sweep_values]
+        if len(set(tags)) < len(tags):
+            errors.append(f"sweep values repeat: {tags}")
     if config.lqg is not None:
         if config.lqg.kappa < 0 or config.lqg.q < 0:
             errors.append("lqg: kappa and q must be nonnegative")

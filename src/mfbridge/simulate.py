@@ -12,10 +12,11 @@ Conventions:
     a stream user holds one Philox generator and re-keys it to each stream
     (counter 0, empty buffer), which draws exactly what a new generator on
     that key would;
-  * the steps' draws are made one block of steps ahead on one worker
-    thread with its own generator while the caller steps through the block
-    before.  No draw depends on the particles, so the results do not
-    depend on when the worker makes it;
+  * the steps' draws are made one block of steps ahead in a forked child
+    process with its own GIL and its own copy of the generator, while the
+    caller steps through the block before (where ``os.fork`` does not
+    exist, the caller draws each block itself).  No draw depends on the
+    particles, so the results do not depend on where or when it is made;
   * ``run_bridge`` takes one problem (``SimConfig``) and the guidance modes
     to compare on it.  Their guidance reaches the run only through one
     ``CoeffTables`` that stacks it.  The modes advance together: their
@@ -31,12 +32,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import mmap
 import os
-import sys
-import threading
+import pickle
+import signal
+import struct
 import time
+import warnings
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,37 +79,40 @@ def _streams(seed: int):
     return stream
 
 
-NOISE_BLOCK_BYTES = 256 * 1024   # draws per block of the noise thread, rounded down to whole steps
-
-
-def _lowest_priority() -> None:
-    """Lower the calling thread to nice 19 on Linux, where nice is per thread; a refusal only costs speed."""
-    if sys.platform == "linux":
-        with contextlib.suppress(OSError):
-            os.setpriority(os.PRIO_PROCESS, threading.get_native_id(), 19)
+NOISE_BLOCK_BYTES = 256 * 1024   # draws per block of the noise process, rounded down to whole steps
+# a message of the noise process: b"r" and its drawing time so far in ns, or b"e" and a pickle's length
+_MESSAGE = struct.Struct("=cQ")
 
 
 class _NoiseBlocks:
-    """Step j's (B, d) draw from stream 1 + j, made one block of steps ahead on a worker thread.
+    """Step j's (B, d) draw from stream 1 + j, made one block of steps ahead in a forked child process.
 
     A block holds ``max(1, NOISE_BLOCK_BYTES // (8 B d))`` steps.  The
-    worker fills block k + 1 into one of two buffers while the caller steps
-    through block k in the other; numpy fills ``standard_normal(out=...)``
-    without the GIL, so the worker draws on a second core.  On Linux the
-    worker runs at the lowest priority, so a core that both threads share
-    goes to the caller.  The worker draws from its own ``_streams(seed)``.
-    Leaving the context joins the worker, and an exception in it is raised
-    in the caller.  ``wait_s`` is the caller's time spent waiting for
-    blocks.
+    child fills block k + 1 into one of two buffers of an anonymous shared
+    mmap while the caller steps through block k in the other, so the draws
+    never take the caller's GIL.  Two pipes carry the signals: "block k
+    ready" (with the child's drawing time so far) goes to the caller, and
+    "slot free" comes back.  The child draws from its own copy of the
+    object's ``_streams(seed)``, leaves through ``os._exit`` (it never
+    flushes the caller's stdio) and exits on EOF when the caller's pipe
+    ends close.  Leaving the context kills and reaps the child; an
+    exception in it is raised in the caller with its type and message.
+    Where ``os.fork`` does not exist, the caller fills each block itself.
+    ``wait_s`` is the caller's time spent getting blocks, ``draw_s`` the
+    time spent drawing them.
     """
 
     def __init__(self, seed: int, n_steps: int, n_particles: int, dim: int):
         self.n_steps = n_steps
         self.per_block = max(1, NOISE_BLOCK_BYTES // (8 * n_particles * dim))
+        self.n_blocks = -(-n_steps // self.per_block)
         self.wait_s = 0.0
+        self.draw_s = 0.0
         self._stream = _streams(seed)
-        self._buffers = np.empty((2, min(self.per_block, n_steps), n_particles, dim))
-        self._pool = ThreadPoolExecutor(1, "mfbridge-noise", initializer=_lowest_priority)
+        shape = (2, min(self.per_block, n_steps), n_particles, dim)
+        self._buffers = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+        self._pid = None
+        self._fds = ()
 
     def _steps(self, k: int) -> range:
         return range(k * self.per_block, min((k + 1) * self.per_block, self.n_steps))
@@ -117,20 +123,92 @@ class _NoiseBlocks:
             self._stream(1 + j).standard_normal(out=buf[i])
 
     def __enter__(self):
-        self._next = self._pool.submit(self._fill, 0)
+        if not hasattr(os, "fork"):
+            return self
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on a fork while threads (OpenBLAS's) run; the
+                # child only draws and writes to its pipe, and runs no BLAS
+                warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except BaseException:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(ready_r)
+            os.close(free_w)   # else the child would hold open the pipe it waits on
+            self._child(free_r, ready_w)
+        os.close(ready_w)
+        os.close(free_r)
+        self._pid, self._fds = pid, (ready_r, free_w)
         return self
 
+    def _child(self, free_r: int, ready_w: int) -> None:
+        """The child's whole life: fill the blocks in order, each into a slot the caller has freed."""
+        code = 0
+        try:
+            draw_ns = 0
+            for k in range(self.n_blocks):
+                if k >= 2 and not os.read(free_r, 1):
+                    break   # the caller has gone
+                t0 = time.perf_counter_ns()
+                self._fill(k)
+                draw_ns += time.perf_counter_ns() - t0
+                os.write(ready_w, _MESSAGE.pack(b"r", draw_ns))
+        except BrokenPipeError:
+            pass   # the caller has gone
+        except BaseException as exc:
+            code = 1
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            with contextlib.suppress(OSError):
+                os.write(ready_w, _MESSAGE.pack(b"e", len(payload)) + payload)
+        finally:
+            os._exit(code)
+
+    def _read(self, n: int) -> bytes:
+        data = b""
+        while len(data) < n:
+            chunk = os.read(self._fds[0], n - len(data))
+            if not chunk:
+                _, status = os.waitpid(self._pid, 0)
+                self._pid = None
+                raise RuntimeError(f"the noise process ended with exit code "
+                                   f"{os.waitstatus_to_exitcode(status)} before its block was ready")
+            data += chunk
+        return data
+
     def __exit__(self, *exc_info):
-        self._pool.shutdown()
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = ()
 
     def __iter__(self):
-        n_blocks = -(-self.n_steps // self.per_block)
-        for k in range(n_blocks):
+        for k in range(self.n_blocks):
             t0 = time.perf_counter()
-            self._next.result()
+            if not self._fds:
+                self._fill(k)
+                self.draw_s += time.perf_counter() - t0
+            else:
+                if 0 < k < self.n_blocks - 1:
+                    # block k - 1's slot takes block k + 1; a child that has gone says why on the read
+                    with contextlib.suppress(BrokenPipeError):
+                        os.write(self._fds[1], b"f")
+                tag, value = _MESSAGE.unpack(self._read(_MESSAGE.size))
+                if tag == b"e":
+                    raise pickle.loads(self._read(value))
+                self.draw_s = value * 1e-9
             self.wait_s += time.perf_counter() - t0
-            if k + 1 < n_blocks:
-                self._next = self._pool.submit(self._fill, k + 1)
             yield from self._buffers[k % 2][:len(self._steps(k))]
 
 
@@ -303,7 +381,8 @@ class EnergyReport:
     guidance_mode: str = ""
     wall_seconds: float = 0.0
     step_loop_seconds: float = 0.0   # the pass's step loop, noise_wait_seconds included
-    noise_wait_seconds: float = 0.0  # the step loop's time blocked on the noise thread
+    noise_wait_seconds: float = 0.0  # the step loop's time spent getting noise blocks
+    noise_draw_seconds: float = 0.0  # the time spent drawing the steps' noise, in the noise process
 
     def summary(self) -> dict:
         def entry(v):
@@ -348,9 +427,9 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     guidance holds one mode per entry of ``modes``, defaults to
     ``tables_for_modes``; an unknown mode or a mode-count mismatch raises
     ValueError before any particle moves.  Returns one ``EnergyReport`` per
-    mode, in order; each carries the whole pass's wall time, step-loop time
-    and the step loop's wait for the noise thread.  The noise thread is
-    joined on every way out.
+    mode, in order; each carries the whole pass's wall time, step-loop time,
+    the step loop's wait for noise blocks and the noise draws' own time.
+    The noise process is killed and reaped on every way out.
     """
     t_start = time.perf_counter()
     modes = list(modes)
@@ -379,7 +458,7 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     snapshot_steps = {min(n, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
     snapshots = {}
 
-    # the worker draws the first block while the initial draw is made from stream 0
+    # the noise process draws the first block while the initial draw is made from stream 0
     with _NoiseBlocks(config.seed, n, B, d) as noise:
         state = sample_initial(config, _streams(config.seed)(0), M)
         by_mode = state.positions.reshape(M, B, d)
@@ -448,5 +527,6 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
             wall_seconds=wall,
             step_loop_seconds=loop_s,
             noise_wait_seconds=noise.wait_s,
+            noise_draw_seconds=noise.draw_s,
         ))
     return reports

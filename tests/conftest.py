@@ -1,8 +1,31 @@
+import os
+
 import numpy as np
 import pytest
 
 from mfbridge.schedule import geometric_schedule
 from mfbridge.score import GaussianMixture
+
+
+def _has_child() -> bool:
+    """Whether the test process has a child, running or exited and not yet reaped; reaps none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_behind():
+    """Fail a test that leaves a child process of the test process unreaped (the noise process included)."""
+    if not hasattr(os, "waitid"):
+        yield
+        return
+    had_child = _has_child()
+    yield
+    if not had_child and _has_child():
+        pytest.fail("the test left a child process unreaped")
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,18 @@ def test_repeated_mode_fails_before_running(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, values, tags", [("d-sweep", "8,8", "['d=8', 'd=8']"),
+                                                ("d-sweep", "4,8.0,8", "['d=4', 'd=8', 'd=8']"),
+                                                ("ar-sweep", "0.5,0.50", "['rho=0.5', 'rho=0.5']")])
+def test_repeated_sweep_point_fails_before_running(tmp_path, capsys, name, values, tags):
+    out = tmp_path / "run"
+    rc = main(["sweep", "--preset", name, "--values", values, "--particles", "5", "--steps", "20",
+               "--modes", "mf", "--out", str(out)])
+    assert rc == 1
+    assert f"sweep values repeat: {tags}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--particles", "--steps"])
 def test_zero_size_override_is_rejected(tmp_path, capsys, flag):
     assert main(["validate", "--preset", "scenario-b", flag, "0"]) == 1
@@ -516,7 +528,7 @@ def test_bridge_summary_reports_where_the_time_went(tmp_path):
                  "--modes", "mf,ia0", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     timings = summary["timings"]
-    assert set(timings) == {"tables_s", "step_loop_s", "noise_wait_s", "writing_s"}
+    assert set(timings) == {"tables_s", "step_loop_s", "noise_wait_s", "noise_draw_s", "writing_s"}
     assert all(v >= 0.0 for v in timings.values())
     assert timings["noise_wait_s"] <= timings["step_loop_s"]
     assert timings["tables_s"] + timings["step_loop_s"] + timings["writing_s"] <= summary["wall_seconds"] + 1.0

@@ -1,13 +1,20 @@
 import functools
 import hashlib
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 
 import mfbridge.simulate as simulate
+from euler_moments import euler_moment_energy
 from mfbridge.errors import DivergedError, ProbeError
 from mfbridge.presets import preset
 from mfbridge.schedule import PwcSchedule, geometric_schedule
@@ -160,17 +167,26 @@ def test_run_bridge_names_the_mode_whose_energy_overflows(monkeypatch):
         run_bridge(small_config(), ["mf", "ia0"])
 
 
-@pytest.mark.parametrize("B, d, n_steps", [(1, 1, 40), (20_000, 2, 3), (1000, 3, 25)],
-                         ids=["one-particle", "one-step-blocks", "partial-last-block"])
-def test_noise_blocks_draw_each_steps_own_stream(B, d, n_steps):
+_BLOCK_CASES = [((1, 1, 40), "one-particle"), ((20_000, 2, 3), "one-step-blocks"),
+                ((1000, 3, 25), "partial-last-block")]
+
+
+@pytest.mark.parametrize("producer, B, d, n_steps", [
+    pytest.param(producer, *case, id=name if producer == "child" else f"in-caller-{name}")
+    for producer in ("child", "in-caller") for case, name in _BLOCK_CASES])
+def test_noise_blocks_draw_each_steps_own_stream(monkeypatch, producer, B, d, n_steps):
+    if producer == "in-caller":
+        monkeypatch.delattr(os, "fork")
     seed = 2**64 + 9
     with simulate._NoiseBlocks(seed, n_steps, B, d) as noise:
+        assert (noise._pid is not None) == (producer == "child")
         got = [xi.copy() for xi in noise]
     assert len(got) == n_steps
     if B == 20_000:
         assert noise.per_block == 1
     if B == 1000:
         assert n_steps % noise.per_block != 0 and noise.per_block < n_steps
+    assert 0.0 < noise.draw_s and 0.0 <= noise.wait_s
     for j, xi in enumerate(got):
         want = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 1 + j])).standard_normal((B, d))
         assert np.array_equal(xi, want), j
@@ -199,9 +215,31 @@ def _interrupt(u):
     raise KeyboardInterrupt
 
 
+def _children_forked(monkeypatch) -> list:
+    """The pids of the noise processes forked from now on."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("way_out", ["return", "diverged", "energy-overflow", "interrupt", "first-step"])
 def test_run_bridge_leaves_no_thread_behind(monkeypatch, way_out):
     before = threading.active_count()
+    forked = _children_forked(monkeypatch)
     cfg = small_config()
     if way_out == "return":
         run_bridge(cfg, ["mf"])
@@ -217,27 +255,70 @@ def test_run_bridge_leaves_no_thread_behind(monkeypatch, way_out):
         _patch_score_batch(monkeypatch, 7, _interrupt)
         with pytest.raises(KeyboardInterrupt):
             run_bridge(cfg, ["mf"])
-    else:  # the first step fails while the worker still has blocks to fill
+    else:  # the first step fails while the child still has blocks to fill
         _patch_score_batch(monkeypatch, 1, _set(np.nan))
         with pytest.raises(DivergedError, match="non-finite drift"):
             run_bridge(small_config(n_particles=4000, n_steps=400), ["mf"])
     assert threading.active_count() == before
+    assert len(forked) == 1 and _reaped(forked[0])
 
 
-def test_a_failure_in_the_noise_thread_is_raised_in_the_caller(monkeypatch):
-    real = simulate._NoiseBlocks._fill
+def test_a_failure_in_the_noise_process_is_raised_in_the_caller(monkeypatch):
+    real, caller = simulate._NoiseBlocks._fill, os.getpid()
 
     def failing_at_the_second_block(self, k):
-        assert threading.current_thread() is not threading.main_thread()
-        if k == 1:
-            raise MemoryError("injected in the noise thread")
+        if k == 1 and os.getpid() != caller:
+            raise MemoryError("injected in the noise process")
         real(self, k)
 
-    before = threading.active_count()
+    forked = _children_forked(monkeypatch)
     monkeypatch.setattr(simulate._NoiseBlocks, "_fill", failing_at_the_second_block)
-    with pytest.raises(MemoryError, match="injected in the noise thread"):
+    with pytest.raises(MemoryError, match="injected in the noise process"):
         run_bridge(small_config(n_particles=4000), ["mf"])
-    assert threading.active_count() == before
+    assert len(forked) == 1 and _reaped(forked[0])
+
+
+def test_the_noise_process_exits_once_the_callers_pipe_ends_close():
+    noise = simulate._NoiseBlocks(7, 40, 20_000, 2).__enter__()
+    pid = noise._pid
+    try:
+        # one-step blocks: once both are ready, the child waits for a free slot
+        for _ in range(2):
+            noise._read(simulate._MESSAGE.size)
+        for fd in noise._fds:
+            os.close(fd)
+        noise._fds = ()
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert status[0] == pid, "the noise process is still running"
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+    finally:
+        if not _reaped(pid):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def test_the_noise_process_never_flushes_the_callers_stdio():
+    # stdout to a pipe is block-buffered: a child that flushed its copy would print the line twice
+    code = ("from test_simulate import small_config; from mfbridge.simulate import run_bridge; "
+            "print('buffered before the run'); run_bridge(small_config(n_steps=40), ['mf'])")
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(simulate.__file__).parents[1]), str(tests)]))
+    env.pop("PYTHONUNBUFFERED", None)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert res.stdout == "buffered before the run\n"
+
+
+@pytest.mark.parametrize("n_steps", [100, 400])
+def test_run_bridge_total_matches_the_euler_moment_recursion(n_steps):
+    # one Gaussian and a delta start: the drift is affine, so the chain's energy has an exact expectation
+    cfg = SimConfig(target=GaussianMixture.isotropic([1.0], [1.5], [0.3]), schedule=geometric_schedule(12.0, 0.65, 8),
+                    n_particles=4000, n_steps=n_steps, seed=11)
+    for rep in run_bridge(cfg, ["mf", "ia0", "iam"]):
+        want = euler_moment_energy(cfg, rep.guidance_mode)
+        assert abs(rep.total - want) <= 4 * rep.stderr, (rep.guidance_mode, rep.total, want, rep.stderr)
 
 
 def test_pure_diffusion_when_score_vanishes():
