@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .greens import build_tables
 from .guidance import linear_guidance, midpoint_mean_map, self_consistent_guidance
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import ExperimentConfig, check_config, load_config, preset, validate_config
 from .score import ScoreContext, _marginal_components, _mixture_logpdf
-from .simulate import SimConfig, _particle_mean, mode_guidance, run_bridge, tables_for_modes
+from .simulate import SimConfig, run_bridge, tables_for_modes
 
 __all__ = ["main", "run_experiment"]
 
@@ -105,29 +104,19 @@ def _sim_config(config: ExperimentConfig, sweep_value=None, **extra) -> SimConfi
     )
 
 
-def _affine_fit(modes: list, reports: list, sim_cfg: SimConfig, tables):
-    """Least-squares fit u ~ -S x - s per mode and time slice, with R^2 (1-d runs).
+def _affine_fit(reports: list):
+    """Least-squares fit u ~ -S x - s per mode and recorded step, with R^2 (1-d runs).
 
-    Every mode's drift at one slice is one stacked evaluation.  A ``cl``
-    mode's drift is re-centred at its snapshot's particle mean, as the
-    step that follows the snapshot re-centres it.  Returns the slice times
-    and the fit (3, M, slices): S, s and R^2.
+    The pairs (x, u) are each snapshot's positions and the drift the step
+    there applied to them, re-centred for a ``cl`` mode as that step
+    re-centred it.  Returns the step times and the fit (3, M, steps): S, s
+    and R^2.
     """
-    ctx = ScoreContext(tables, sim_cfg.target, sim_cfg.initial)
-    times = sorted(reports[0].snapshots)
-    table = ctx.coeff_table(times)
-    M = len(modes)
-    closed_loop = np.array([m == "cl" for m in modes])
-    fit = np.empty((3, M, len(times)))
-    for j, t_s in enumerate(times):
-        X = np.concatenate([rep.snapshots[t_s] for rep in reports])
-        co = table.row(j)
-        nu_hat = None
-        if closed_loop.any():
-            nu_hat = np.where(closed_loop[:, None], _particle_mean(X.reshape(M, -1, X.shape[1])),
-                              co.nu.reshape(M, -1))
-        U = ctx.score_batch(co, X, reports[0].shifts, nu_hat)
-        for i, (x, u) in enumerate(zip(X.reshape(M, -1), U.reshape(M, -1))):
+    times = sorted(reports[0].drifts)
+    fit = np.empty((3, len(reports), len(times)))
+    for i, rep in enumerate(reports):
+        for j, t_s in enumerate(times):
+            x, u = rep.snapshots[t_s][:, 0], rep.drifts[t_s][:, 0]
             A = np.column_stack([-x, -np.ones_like(x)])
             coef, *_ = np.linalg.lstsq(A, u, rcond=None)
             resid = u - A @ coef
@@ -206,7 +195,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                 for m in modes for pid, path in enumerate(reports[m].trajectories[:, ::stride])))
 
     if affine:
-        times, fit = _affine_fit(modes, runs, sim_cfg, tables)
+        times, fit = _affine_fit(runs)
         _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], ["%s", "%.6f", "%.8g", "%.8g", "%.8g"],
                    ([[m] * len(times), times, *fit[:, i]] for i, m in enumerate(modes)))
 
@@ -331,20 +320,20 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
 
 def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     sim_cfg = _sim_config(config)
-    ctxs = [ScoreContext(build_tables(sim_cfg.schedule, mode_guidance(sim_cfg, m), sim_cfg.n_steps),
-                         sim_cfg.target, sim_cfg.initial)
-            for m in config.modes]
-    # each (mode, t) marginal's components, computed once for the grid and the curve
-    comps = [[_marginal_components(ctx, t) for ctx in ctxs] for t in times]
+    ctx = ScoreContext(tables_for_modes(sim_cfg, config.modes), sim_cfg.target, sim_cfg.initial)
+    # each time's marginal components, computed once for the grid and the curves: the
+    # means (C, modes, d) carry the mode axis, the log weights and covariances are shared
+    comps = [_marginal_components(ctx, t) for t in times]
     # one grid for every curve, wide enough for each curve's every component
     lo, hi = np.inf, -np.inf
-    for _, means, covs in (c for at_t in comps for c in at_t):
-        half = DENSITY_GRID_SDS * np.sqrt(covs[:, 0, 0])
-        lo, hi = min(lo, np.min(means[:, 0] - half)), max(hi, np.max(means[:, 0] + half))
+    for _, means, covs in comps:
+        half = DENSITY_GRID_SDS * np.sqrt(covs[:, 0, 0])[:, None]
+        lo, hi = min(lo, np.min(means[..., 0] - half)), max(hi, np.max(means[..., 0] + half))
     xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)
-    curves = np.exp([[_mixture_logpdf(*c, xs[:, None]) for c in at_t] for at_t in comps])   # (times, modes, x)
+    curves = np.exp([[_mixture_logpdf(log_ws, means[:, i], covs, xs[:, None]) for i in range(ctx.n_modes)]
+                     for log_ws, means, covs in comps])   # (times, modes, x)
     _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in config.modes],
-               ["%.4f", "%.6f"] + ["%.8g"] * len(ctxs),
+               ["%.4f", "%.6f"] + ["%.8g"] * ctx.n_modes,
                ([[t] * xs.size, xs, *at_t] for t, at_t in zip(times, curves)))
 
 
@@ -498,15 +487,18 @@ def main(argv=None) -> int:
             print(f"wrote {out}/lqg.csv")
             return 0
 
-        if args.verb == "bridge":
+        if args.verb in ("bridge", "sweep"):
             cfg = _load(args)
+            if cfg.lqg is not None:
+                raise ConfigError(f"config {cfg.name!r} has an lqg section; run it with the lqg verb")
+
+        if args.verb == "bridge":
             cfg.sweep_axis = "none"
             run_experiment(cfg, out, dump_coefficients=args.dump_coefficients)
             print(f"wrote {out}/summary.json")
             return 0
 
         if args.verb == "sweep":
-            cfg = _load(args)
             if cfg.sweep_axis == "none":
                 raise ConfigError(f"config {cfg.name!r} has no sweep axis")
             run_experiment(cfg, out, parallel=args.parallel)

@@ -185,7 +185,7 @@ def _scenario_b() -> ExperimentConfig:
 def _d_sweep() -> ExperimentConfig:
     return ExperimentConfig(
         name="d-sweep",
-        target=_target_dr(),
+        target=MixtureSpec([0.6, 0.4], [0.1, 1.5], [0.2, 0.3]),   # dsweep_mixtures(1)'s
         initial=MixtureSpec([0.6, 0.4], [1.6, 5.5], [0.5, 0.7]),
         n_particles=4000,
         sweep_axis="dimension",

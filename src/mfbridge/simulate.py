@@ -326,10 +326,11 @@ def step(state: EnsembleState, ctx: ScoreContext, table: KernelCoeffs, dt: float
 
     The step's (B, d) standard-normal draw ``noise`` is added to every
     mode's rows; it is read, not changed.
-    ``work`` (WORK_SLOTS, M B, d) takes the drift and every intermediate,
-    ``post`` (2, K, M B) the posterior's log-weights.  ``closed_loop``
-    marks the modes whose kernel slots re-centre at their batch mean (None:
-    no mode).  Mutates and returns ``state``.
+    ``work`` (WORK_SLOTS, M B, d) takes every intermediate and the drift,
+    which the step leaves in work[3]; ``post`` (2, K, M B) the posterior's
+    log-weights.  ``closed_loop`` marks the modes whose kernel slots
+    re-centre at their batch mean (None: no mode).  Mutates and returns
+    ``state``.
     """
     M = ctx.n_modes
     n, d = state.positions.shape
@@ -376,6 +377,7 @@ class EnergyReport:
     zone_energy: np.ndarray         # (d,)
     trajectories: np.ndarray        # (n_saved, n_steps + 1, d)
     snapshots: dict = field(default_factory=dict)   # step time k/n -> (B, d) positions
+    drifts: dict = field(default_factory=dict)      # step time k/n, k < n -> (B, d) drift step k applied
     shifts: np.ndarray | None = None                # (B, d) start points, mixture runs
     seed: int = 0
     guidance_mode: str = ""
@@ -454,9 +456,10 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     mean_trace = np.empty((M, n + 1, d))
     std_trace = np.empty((M, n + 1, d))
     trajectories = np.empty((M, n_saved, n + 1, d))
-    # a snapshot is keyed by the time of the step it is recorded at
+    # a snapshot is keyed by the time of the step it is recorded at; so is the
+    # drift that step applies at the snapshot's positions (none at step n)
     snapshot_steps = {min(n, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
-    snapshots = {}
+    snapshots, drifts = {}, {}
 
     # the noise process draws the first block while the initial draw is made from stream 0
     with _NoiseBlocks(config.seed, n, B, d) as noise:
@@ -473,6 +476,8 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
         t_loop = time.perf_counter()
         for j, xi in enumerate(noise):
             step(state, ctx, table, dt, xi, work, post, closed_loop)
+            if j in snapshot_steps:
+                drifts[j / n] = work[3].reshape(M, B, d).copy()   # the drift step leaves in work[3]
             power[:, j] = np.subtract(energy, prev_energy, out=gained).sum(axis=1) / B / dt
             prev_energy[...] = energy
             mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
@@ -521,6 +526,7 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
             zone_energy=state.zone_energy[m],
             trajectories=trajectories[m],
             snapshots={ts: snap[m] for ts, snap in snapshots.items()},
+            drifts={ts: u[m] for ts, u in drifts.items()},
             shifts=state.shifts,
             seed=config.seed,
             guidance_mode=mode,

@@ -353,7 +353,9 @@ def test_affine_fit_slices_lie_on_the_step_grid(tmp_path):
                  "--modes", "mf", "--out", str(out)]) == 0
     with open(out / "affine_fit.csv") as fh:
         ts = [float(row["t"]) for row in csv.DictReader(fh)]
-    assert len(ts) == len(set(ts)) == 21
+    # the 49 times land on 21 steps; the one at t = 1 applies no drift, so it has no row
+    assert len(ts) == len(set(ts)) == 20
+    assert max(ts) < 1.0
     assert all(abs(t * 20 - round(t * 20)) < 1e-9 for t in ts)
 
 
@@ -506,6 +508,41 @@ def test_cli_guidance_check_refuses_the_removed_iteration_flags(tmp_path, monkey
     assert rc == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+LQG_SWEEP_CFG = """name = lqg-sweep
+sweep.axis = ar-rho
+sweep.values = 0.0, 0.5
+target.weights = 0.6, 0.4
+target.means = 0.0, 1.5
+target.sigmas = 0.2, 0.3
+lqg.sigma_tar = 0.3
+"""
+
+
+@pytest.mark.parametrize("verb_args", [["bridge", "--preset", "lqg-tcl"], ["sweep", "--config", "lqg-sweep.cfg"]],
+                         ids=["bridge", "sweep"])
+def test_bridge_and_sweep_refuse_an_lqg_config_before_writing(tmp_path, capsys, verb_args):
+    # a config with an lqg section is the lqg verb's: bridge and sweep must not run its closed form
+    (tmp_path / "lqg-sweep.cfg").write_text(LQG_SWEEP_CFG)
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in verb_args]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 1
+    assert "run it with the lqg verb" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dsweep_preset_runs_its_d1_sweep_point(tmp_path):
+    # bridge on the preset and sweep's d = 1 point solve one problem, so they give one total
+    for got, want in zip(preset("d-sweep").mixtures(), dsweep_mixtures(1)):
+        for name in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    args = ["--preset", "d-sweep", "--particles", "200", "--steps", "100", "--modes", "mf,ia0"]
+    assert main(["bridge", *args, "--out", str(tmp_path / "bridge")]) == 0
+    assert main(["sweep", *args, "--values", "1", "--out", str(tmp_path / "sweep")]) == 0
+    bridge = json.loads((tmp_path / "bridge" / "summary.json").read_text())["totals"]
+    point = json.loads((tmp_path / "sweep" / "d=1" / "summary.json").read_text())["totals"]
+    assert {m: v.hex() for m, v in bridge.items()} == {m: v.hex() for m, v in point.items()}
 
 
 @pytest.mark.parametrize("verb_args, message", [

@@ -10,6 +10,7 @@ from mfbridge.score import (
     GaussianMixture,
     WORK_SLOTS,
     ScoreContext,
+    _marginal_components,
     ar1_covariance,
     marginal_density,
 )
@@ -416,3 +417,24 @@ def test_score_batch_reuses_a_work_array(kind):
         reused = ctx.score_batch(table.row(j), X, Z, nu_hat, work)
         assert np.shares_memory(reused, work)
         assert np.array_equal(fresh, reused)
+
+
+@pytest.mark.parametrize("start", ["delta", "mixture"])
+def test_marginal_components_of_stacked_modes_are_each_modes_own(paper_schedule, dr_target, initial_b, start):
+    # on a stacked table the means carry the mode axis (C, modes, d); each
+    # mode's slice, the log weights and the covariances are bit-identical
+    # to those of a table built on that mode alone
+    from mfbridge.simulate import SimConfig, mode_guidance, tables_for_modes
+
+    cfg = SimConfig(target=dr_target, schedule=paper_schedule, initial=initial_b if start == "mixture" else None)
+    modes = ["mf", "ia0", "iam", "cl"]
+    stacked = ScoreContext(tables_for_modes(cfg, modes), cfg.target, cfg.initial)
+    singles = [ScoreContext(build_tables(paper_schedule, mode_guidance(cfg, m), cfg.n_steps), cfg.target, cfg.initial)
+               for m in modes]
+    for t in (0.0, 0.1, 0.5, 0.99, 1.0):
+        log_ws, means, covs = _marginal_components(stacked, t)
+        assert means.shape == (log_ws.size, len(modes), 1)
+        for i, ctx in enumerate(singles):
+            want = _marginal_components(ctx, t)
+            assert np.array_equal(log_ws, want[0]) and np.array_equal(covs, want[2]), (t, i)
+            assert np.array_equal(means[:, i], want[1]), (t, i)

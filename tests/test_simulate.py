@@ -420,6 +420,27 @@ def test_snapshots_recorded():
     assert np.all(rep.snapshots[0.0] == 0.0)
 
 
+def test_recorded_drifts_are_the_ones_each_step_applied():
+    # each snapshot step k < n keeps the drift step k evaluated at the
+    # snapshot's positions: the run's own step row, its shifts and, for cl,
+    # the re-centring at the snapshot's particle mean
+    initial = GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])
+    cfg = small_config(initial=initial, snapshot_times=(0.0, 0.3, 0.78, 1.0))
+    modes = ["mf", "ia0", "cl"]
+    reports = run_bridge(cfg, modes)
+    n, B, M = cfg.n_steps, cfg.n_particles, len(modes)
+    assert sorted(reports[0].drifts) == [0.0, 75 / n, 195 / n] == sorted(reports[0].snapshots)[:-1]
+    ctx = ScoreContext(tables_for_modes(cfg, modes), cfg.target, cfg.initial)
+    table = ctx.coeff_table(np.arange(n) * (1.0 / n))
+    closed_loop = np.array([m == "cl" for m in modes])
+    for t in reports[0].drifts:
+        co = table.row(round(t * n))
+        X = np.concatenate([r.snapshots[t] for r in reports])
+        nu_hat = np.where(closed_loop[:, None], simulate._particle_mean(X.reshape(M, B, -1)), co.nu.reshape(M, -1))
+        want = ctx.score_batch(co, X, reports[0].shifts, nu_hat)
+        assert np.array_equal(np.concatenate([r.drifts[t] for r in reports]), want), t
+
+
 def _zero_beta_delta_config():
     sched = PwcSchedule([0.0, 0.25, 0.5, 0.75, 1.0], [6.0, 0.0, 2.0, 0.0])
     return small_config(schedule=sched), "mf"
