@@ -143,14 +143,13 @@ def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
 
 
 def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coefficients: bool = False) -> dict:
-    """Run every guidance mode at one sweep point and write its artifacts."""
+    """Run every guidance mode at one sweep point (None: the config's first) and write its artifacts."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    d = config.dim_for(sweep_value)
-    affine = d == 1
-    snap_times = tuple(np.linspace(0.01, 0.99, AFFINE_FIT_SLICES)) if affine else ()
-
     t_wall = time.perf_counter()
-    sim_cfg = _sim_config(config, sweep_value, snapshot_times=snap_times)
+    sim_cfg = _sim_config(config, sweep_value)
+    d = sim_cfg.dim
+    if d == 1:   # the positions and drifts the affine fit reads
+        sim_cfg.snapshot_times = tuple(np.linspace(0.01, 0.99, AFFINE_FIT_SLICES))
     tables = tables_for_modes(sim_cfg, config.modes)
     t_run = time.perf_counter()
     runs = run_bridge(sim_cfg, config.modes, tables)
@@ -194,7 +193,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                ([[m] * T, [pid] * T, t_col, *path.T]
                 for m in modes for pid, path in enumerate(reports[m].trajectories[:, ::stride])))
 
-    if affine:
+    if d == 1:
         times, fit = _affine_fit(runs)
         _write_csv(out_dir / "affine_fit.csv", ["mode", "t", "S", "s", "R2"], ["%s", "%.6f", "%.8g", "%.8g", "%.8g"],
                    ([[m] * len(times), times, *fit[:, i]] for i, m in enumerate(modes)))
@@ -240,8 +239,7 @@ def _point_dir(out: Path, config: ExperimentConfig, value) -> Path:
     return out if value is None else out / config.point_tag(value)
 
 
-def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
-                   dump_coefficients: bool = False) -> Path:
+def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False) -> Path:
     """Run a config (single point or sweep); returns the output directory.
 
     An ``lqg`` config builds no coefficient table, so it skips the dry run.
@@ -256,7 +254,7 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False,
         _run_lqg(config, out)
         return out
 
-    jobs = [(config, v, _point_dir(out, config, v), dump_coefficients) for v in config.sweep_points()]
+    jobs = [(config, v, _point_dir(out, config, v)) for v in config.sweep_points()]
     if parallel and len(jobs) > 1:
         with ProcessPoolExecutor() as pool:
             rows = list(pool.map(_run_point, *zip(*jobs)))
@@ -318,9 +316,8 @@ def _run_lqg(config: ExperimentConfig, out: Path) -> None:
 # density and guidance-check verbs
 # ----------------------------------------------------------------------------
 
-def _run_density(config: ExperimentConfig, times, out: Path) -> None:
-    sim_cfg = _sim_config(config)
-    ctx = ScoreContext(tables_for_modes(sim_cfg, config.modes), sim_cfg.target, sim_cfg.initial)
+def _run_density(sim_cfg: SimConfig, modes: list, times, out: Path) -> None:
+    ctx = ScoreContext(tables_for_modes(sim_cfg, modes), sim_cfg.target, sim_cfg.initial)
     # each time's marginal components, computed once for the grid and the curves: the
     # means (C, modes, d) carry the mode axis, the log weights and covariances are shared
     comps = [_marginal_components(ctx, t) for t in times]
@@ -332,7 +329,7 @@ def _run_density(config: ExperimentConfig, times, out: Path) -> None:
     xs = np.linspace(lo, hi, DENSITY_GRID_POINTS)
     curves = np.exp([[_mixture_logpdf(log_ws, means[:, i], covs, xs[:, None]) for i in range(ctx.n_modes)]
                      for log_ws, means, covs in comps])   # (times, modes, x)
-    _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in config.modes],
+    _write_csv(out / "density.csv", ["t", "x"] + [f"p_{m}" for m in modes],
                ["%.4f", "%.6f"] + ["%.8g"] * ctx.n_modes,
                ([[t] * xs.size, xs, *at_t] for t, at_t in zip(times, curves)))
 
@@ -400,10 +397,10 @@ def _load(args) -> ExperimentConfig:
 
 
 def _load_target_config(args) -> ExperimentConfig:
-    """A validated config with a target mixture: what ``density`` and ``guidance-check`` evaluate."""
+    """A validated config that defines a bridge problem: what ``density`` and ``guidance-check`` evaluate."""
     cfg = _load(args)
     errors = validate_config(cfg)
-    if cfg.target is None and not errors:
+    if not errors and not cfg.has_mixtures():
         errors = [f"{args.verb} needs a target mixture; the config has only an lqg section"]
     if errors:
         raise ConfigError("; ".join(errors))
@@ -493,8 +490,10 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config {cfg.name!r} has an lqg section; run it with the lqg verb")
 
         if args.verb == "bridge":
-            cfg.sweep_axis = "none"
-            run_experiment(cfg, out, dump_coefficients=args.dump_coefficients)
+            errors = validate_config(cfg)
+            if errors:
+                raise ConfigError("; ".join(errors))
+            _run_point(cfg, None, out, args.dump_coefficients)
             print(f"wrote {out}/summary.json")
             return 0
 
@@ -507,22 +506,21 @@ def main(argv=None) -> int:
 
         if args.verb == "density":
             cfg = _load_target_config(args)
-            if cfg.d != 1:
-                raise ConfigError(f"density emission is 1-d only, got d={cfg.d}")
+            sim_cfg = _sim_config(cfg)
+            if sim_cfg.dim != 1:
+                raise ConfigError(f"density emission is 1-d only, got d={sim_cfg.dim}")
             times = _floats("--times", args.times)
             if not times:
                 raise ConfigError("--times: no times given")
             outside = [t for t in times if not 0.0 <= t <= 1.0]
             if outside:
                 raise ConfigError(f"--times must lie in [0, 1], got {outside}")
-            out.mkdir(parents=True, exist_ok=True)
-            _run_density(cfg, times, out)
+            _run_density(sim_cfg, cfg.modes, times, out)
             print(f"wrote {out}/density.csv")
             return 0
 
         if args.verb == "guidance-check":
             cfg = _load_target_config(args)
-            out.mkdir(parents=True, exist_ok=True)
             summary = _run_guidance_check(cfg, out)
             print(f"contraction factor {summary['contraction_factor']:.4g}; "
                   f"self-consistency residual {summary['self_consistency_residual']:.2g}; "

@@ -71,11 +71,15 @@ class ExperimentConfig:
         return geometric_schedule(self.beta0, self.gamma, self.intervals)
 
     def mixtures(self, sweep_value=None):
-        """(initial, target) mixtures for one run, resolving the sweep axis.
+        """(initial, target) mixtures of one run point: ``sweep_value`` on the sweep axis.
 
-        The mixture constructors raise ValueError on a bad shape, weight or
-        covariance; a spec's error names the spec (``target``/``initial``).
+        On a sweep config, None means the first sweep value, so a
+        single-point verb runs the sweep's first point.  The mixture
+        constructors raise ValueError on a bad shape, weight or covariance;
+        a spec's error names the spec (``target``/``initial``).
         """
+        if sweep_value is None and self.sweep_axis in SWEEP_TAGS and self.sweep_values:
+            sweep_value = self.sweep_values[0]
         if self.sweep_axis == "dimension" and sweep_value is not None:
             return dsweep_mixtures(_whole(sweep_value))
         if self.sweep_axis == "components" and sweep_value is not None:
@@ -106,10 +110,9 @@ class ExperimentConfig:
         tag = SWEEP_TAGS[self.sweep_axis]
         return f"{tag}={value:g}" if isinstance(value, float) else f"{tag}={value}"
 
-    def dim_for(self, sweep_value=None) -> int:
-        if self.sweep_axis == "dimension" and sweep_value is not None:
-            return _whole(sweep_value)
-        return self.d
+    def has_mixtures(self) -> bool:
+        """Whether the config defines a bridge problem: a target, or a sweep axis that generates the mixtures."""
+        return self.target is not None or self.sweep_axis in ("dimension", "components")
 
 
 def _whole(value) -> int:
@@ -185,8 +188,6 @@ def _scenario_b() -> ExperimentConfig:
 def _d_sweep() -> ExperimentConfig:
     return ExperimentConfig(
         name="d-sweep",
-        target=MixtureSpec([0.6, 0.4], [0.1, 1.5], [0.2, 0.3]),   # dsweep_mixtures(1)'s
-        initial=MixtureSpec([0.6, 0.4], [1.6, 5.5], [0.5, 0.7]),
         n_particles=4000,
         sweep_axis="dimension",
         sweep_values=[1, 2, 4, 8, 16, 32],
@@ -197,8 +198,6 @@ def _k_sweep() -> ExperimentConfig:
     return ExperimentConfig(
         name="k-sweep",
         d=4,
-        target=_target_dr(),  # regenerated per K by ksweep_mixtures
-        initial=MixtureSpec([0.6, 0.4], [1.5, 5.5], [0.5, 0.7]),
         n_particles=4000,
         sweep_axis="components",
         sweep_values=[2, 3, 4, 8],
@@ -356,12 +355,12 @@ def load_config(path: str) -> ExperimentConfig:
 # ----------------------------------------------------------------------------
 
 def validate_config(config: ExperimentConfig) -> list:
-    """``check_config``, then, if it passed and the config has a target, ``dry_run``.
+    """``check_config``, then, if it passed and the config defines a bridge problem, ``dry_run``.
 
     Returns a list of error strings; empty means the config is runnable.
     """
     errors = check_config(config)
-    if errors or config.target is None:
+    if errors or not config.has_mixtures():
         return errors
     return dry_run(config)
 
@@ -369,7 +368,7 @@ def validate_config(config: ExperimentConfig) -> list:
 def check_config(config: ExperimentConfig) -> list:
     """Structural checks, every sweep point's mixtures and the ``lqg`` closed form; a list of errors."""
     errors = []
-    if config.target is None and config.lqg is None:
+    if not config.has_mixtures() and config.lqg is None:
         errors.append("config needs a target mixture (or an lqg section)")
     if config.beta0 <= 0:
         errors.append(f"schedule.beta0 must be positive, got {config.beta0}")
@@ -395,21 +394,21 @@ def check_config(config: ExperimentConfig) -> list:
         tags = [config.point_tag(v) for v in config.sweep_values]
         if len(set(tags)) < len(tags):
             errors.append(f"sweep values repeat: {tags}")
-    if config.lqg is not None:
-        if config.lqg.kappa < 0 or config.lqg.q < 0:
-            errors.append("lqg: kappa and q must be nonnegative")
-        if config.lqg.sigma_tar <= 0:
-            errors.append("lqg: sigma_tar must be positive")
-        if not config.lqg.m_bar_grid:
+    spec = config.lqg
+    if spec is not None:
+        try:
+            problem = LqgProblem(spec.kappa, spec.q, spec.m_tar, spec.sigma_tar)
+        except ValueError as exc:
+            errors.append(f"lqg: {exc}")
+        if not spec.m_bar_grid:
             errors.append("lqg.m_bar_grid empty")
         if not errors:
             # the closed form is cheap: a target variance off the admissible branch fails here
-            spec = config.lqg
             try:
-                solve_lqg(LqgProblem(spec.kappa, spec.q, spec.m_tar, spec.sigma_tar))
+                solve_lqg(problem)
             except NumericalError as exc:
                 errors.append(f"lqg.sigma_tar = {spec.sigma_tar}: {exc}")
-    if config.target is None:
+    if not config.has_mixtures():
         return errors
 
     for value in config.sweep_values if config.sweep_axis in SWEEP_TAGS else [None]:

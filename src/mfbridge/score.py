@@ -172,6 +172,8 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 def _mixture_logpdf(log_weights, means, covs, x) -> np.ndarray:
     """Log density of the mixture (log weights (C,), means (C, d), covariances (C, d, d)) at x, (n, d) or (d,)."""
     X = _rows(x)
+    if X.shape[1] != means.shape[1]:
+        raise ValueError(f"positions of width {X.shape[1]} for a mixture of dimension {means.shape[1]}")
     logs = np.empty((X.shape[0], len(log_weights)))
     for i, (mean, cov) in enumerate(zip(means, covs)):
         L = np.linalg.cholesky(cov)

@@ -220,7 +220,7 @@ class SimConfig:
     n_particles: int = 8000
     n_steps: int = DEFAULT_N_STEPS
     seed: int = 20250101
-    snapshot_times: tuple = ()   # record full particle positions at the steps nearest these times
+    snapshot_times: tuple = ()   # record positions and drifts at the steps 0..n-1 nearest these times
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -376,8 +376,8 @@ class EnergyReport:
     terminal_std: dict              # label -> (d,)
     zone_energy: np.ndarray         # (d,)
     trajectories: np.ndarray        # (n_saved, n_steps + 1, d)
-    snapshots: dict = field(default_factory=dict)   # step time k/n -> (B, d) positions
-    drifts: dict = field(default_factory=dict)      # step time k/n, k < n -> (B, d) drift step k applied
+    snapshots: dict = field(default_factory=dict)   # step time k/n, k < n -> (B, d) positions step k starts from
+    drifts: dict = field(default_factory=dict)      # the same keys -> (B, d) drift step k applied
     shifts: np.ndarray | None = None                # (B, d) start points, mixture runs
     seed: int = 0
     guidance_mode: str = ""
@@ -456,9 +456,9 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     mean_trace = np.empty((M, n + 1, d))
     std_trace = np.empty((M, n + 1, d))
     trajectories = np.empty((M, n_saved, n + 1, d))
-    # a snapshot is keyed by the time of the step it is recorded at; so is the
-    # drift that step applies at the snapshot's positions (none at step n)
-    snapshot_steps = {min(n, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
+    # a snapshot holds the positions a step starts from and is keyed by that
+    # step's time k/n, k < n; so is the drift the step applies to them
+    snapshot_steps = {min(n - 1, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
     snapshots, drifts = {}, {}
 
     # the noise process draws the first block while the initial draw is made from stream 0
@@ -467,14 +467,14 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
         by_mode = state.positions.reshape(M, B, d)
         mean_trace[:, 0], std_trace[:, 0] = _mean_std(by_mode, work[0])
         trajectories[:, :, 0] = by_mode[:, :n_saved]
-        if 0 in snapshot_steps:
-            snapshots[0.0] = by_mode.copy()
 
         energy = state.energy.reshape(M, B)
         prev_energy = np.zeros((M, B))
         gained = np.empty((M, B))
         t_loop = time.perf_counter()
         for j, xi in enumerate(noise):
+            if j in snapshot_steps:
+                snapshots[j / n] = by_mode.copy()
             step(state, ctx, table, dt, xi, work, post, closed_loop)
             if j in snapshot_steps:
                 drifts[j / n] = work[3].reshape(M, B, d).copy()   # the drift step leaves in work[3]
@@ -482,8 +482,6 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
             prev_energy[...] = energy
             mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
             trajectories[:, :, j + 1] = by_mode[:, :n_saved]
-            if j + 1 in snapshot_steps:
-                snapshots[(j + 1) / n] = by_mode.copy()
         loop_s = time.perf_counter() - t_loop
     # a finite drift past about 1e154 overflows its square, which the position scan misses
     if not np.isfinite(state.energy).all():

@@ -532,26 +532,58 @@ def test_bridge_and_sweep_refuse_an_lqg_config_before_writing(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_dsweep_preset_runs_its_d1_sweep_point(tmp_path):
-    # bridge on the preset and sweep's d = 1 point solve one problem, so they give one total
-    for got, want in zip(preset("d-sweep").mixtures(), dsweep_mixtures(1)):
-        for name in ("weights", "means", "covariances"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    args = ["--preset", "d-sweep", "--particles", "200", "--steps", "100", "--modes", "mf,ia0"]
+@pytest.mark.parametrize("name", ["d-sweep", "k-sweep", "ar-sweep"])
+def test_bridge_on_a_sweep_preset_runs_its_first_point(tmp_path, name):
+    # a single-point verb on a sweep config runs the sweep's first point, so both give one total
+    cfg = preset(name)
+    first = cfg.sweep_points()[0]
+    args = ["--preset", name, "--particles", "200", "--steps", "100", "--modes", "mf,ia0"]
     assert main(["bridge", *args, "--out", str(tmp_path / "bridge")]) == 0
-    assert main(["sweep", *args, "--values", "1", "--out", str(tmp_path / "sweep")]) == 0
-    bridge = json.loads((tmp_path / "bridge" / "summary.json").read_text())["totals"]
-    point = json.loads((tmp_path / "sweep" / "d=1" / "summary.json").read_text())["totals"]
-    assert {m: v.hex() for m, v in bridge.items()} == {m: v.hex() for m, v in point.items()}
+    assert main(["sweep", *args, "--values", f"{first}", "--out", str(tmp_path / "sweep")]) == 0
+    bridge = json.loads((tmp_path / "bridge" / "summary.json").read_text())
+    point = json.loads((tmp_path / "sweep" / cfg.point_tag(first) / "summary.json").read_text())
+    assert {m: v.hex() for m, v in bridge["totals"].items()} == {m: v.hex() for m, v in point["totals"].items()}
+    assert bridge["d"] == point["d"] == cfg.mixtures(first)[1].dim
+    # the generated sweeps build both endpoints themselves
+    assert (bridge["config"]["target"] is None) == (name != "ar-sweep")
+
+
+@pytest.mark.parametrize("axis, values, tags", [("dimension", "1, 2", ["d=1", "d=2"]),
+                                                ("components", "2, 3", ["K=2", "K=3"])],
+                         ids=["dimension", "components"])
+def test_a_generated_sweep_needs_no_mixture_sections(tmp_path, capsys, axis, values, tags):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"d = 2\nsweep.axis = {axis}\nsweep.values = {values}\nmodes = mf\n")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--particles", "20", "--steps", "20", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == tags
+
+
+@pytest.mark.parametrize("text, message", [
+    ("d = 2\n", "config needs a target mixture (or an lqg section)"),
+    ("sweep.axis = ar-rho\nsweep.values = 0.5\n", "config needs a target mixture (or an lqg section)"),
+    ("lqg.kappa = -1\n", "lqg: kappa and q must be nonnegative"),
+    ("lqg.sigma_tar = 0\n", "lqg: sigma_tar must be positive"),
+], ids=["no-target", "ar-rho-no-target", "lqg-kappa", "lqg-sigma"])
+def test_validate_names_what_a_config_lacks(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("verb_args, message", [
     (["density", "--config", "lqg-only.cfg"], "density needs a target mixture"),
     (["guidance-check", "--config", "lqg-only.cfg"], "guidance-check needs a target mixture"),
     (["density", "--preset", "ar-sweep"], "density emission is 1-d only"),
-], ids=["density-lqg-only", "guidance-check-lqg-only", "density-d8"])
+    (["density", "--config", "d4-sweep.cfg"], "density emission is 1-d only, got d=4"),
+], ids=["density-lqg-only", "guidance-check-lqg-only", "density-d8", "density-d4-sweep-point"])
 def test_verbs_refuse_a_config_they_cannot_run_before_writing(tmp_path, capsys, verb_args, message):
     (tmp_path / "lqg-only.cfg").write_text("lqg.sigma_tar = 0.3\n")
+    # a single-point verb runs the first sweep point, here d = 4
+    (tmp_path / "d4-sweep.cfg").write_text("sweep.axis = dimension\nsweep.values = 4, 8\n")
     args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in verb_args]
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 1

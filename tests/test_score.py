@@ -98,6 +98,15 @@ def test_mixture_logpdf_matches_scipy():
     assert gm.logpdf(x) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [np.zeros((3, 1)), np.zeros(3), np.zeros((3, 3))])
+def test_mixture_logpdf_refuses_positions_of_another_width(x):
+    # 1-d positions would broadcast against 2-d means and take the 1-d normaliser
+    gm = GaussianMixture.isotropic([1.0], [[0.0, 0.0]], [1.0])
+    with pytest.raises(ValueError, match=r"width (1|3) for a mixture of dimension 2"):
+        gm.logpdf(x)
+    assert gm.logpdf(np.zeros((3, 2))) == pytest.approx(np.full(3, -np.log(2.0 * np.pi)), rel=1e-15)
+
+
 # ----------------------------------------------------------------------------
 # probe and posterior
 # ----------------------------------------------------------------------------

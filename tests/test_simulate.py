@@ -415,7 +415,9 @@ def test_closed_loop_tracks_analytic(paper_schedule, dr_target, initial_b):
 def test_snapshots_recorded():
     cfg = small_config(snapshot_times=(0.0, 0.5, 1.0))
     rep = run_bridge(cfg)[0]
-    assert set(rep.snapshots) == {0.0, 0.5, 1.0}
+    n = cfg.n_steps
+    # t = 1 takes the last step, n - 1: step n applies no drift
+    assert set(rep.snapshots) == {0.0, 0.5, (n - 1) / n}
     assert rep.snapshots[0.5].shape == (400, 1)
     assert np.all(rep.snapshots[0.0] == 0.0)
 
@@ -429,7 +431,7 @@ def test_recorded_drifts_are_the_ones_each_step_applied():
     modes = ["mf", "ia0", "cl"]
     reports = run_bridge(cfg, modes)
     n, B, M = cfg.n_steps, cfg.n_particles, len(modes)
-    assert sorted(reports[0].drifts) == [0.0, 75 / n, 195 / n] == sorted(reports[0].snapshots)[:-1]
+    assert sorted(reports[0].drifts) == [0.0, 75 / n, 195 / n, (n - 1) / n] == sorted(reports[0].snapshots)
     ctx = ScoreContext(tables_for_modes(cfg, modes), cfg.target, cfg.initial)
     table = ctx.coeff_table(np.arange(n) * (1.0 / n))
     closed_loop = np.array([m == "cl" for m in modes])
