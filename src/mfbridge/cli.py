@@ -24,7 +24,7 @@ from .guidance import linear_guidance, midpoint_mean_map, self_consistent_guidan
 from .lqg import LqgProblem, ia_baseline, lqg_metrics, solve_lqg
 from .presets import ExperimentConfig, check_config, load_config, preset, validate_config
 from .score import ScoreContext, _marginal_components, _mixture_logpdf
-from .simulate import SimConfig, run_bridge, tables_for_modes
+from .simulate import SimConfig, artifact_steps, artifact_stride, run_bridge, tables_for_modes
 
 __all__ = ["main", "run_experiment"]
 
@@ -129,7 +129,7 @@ def _affine_fit(reports: list):
 def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
     """One ``coefficients_{mode}.csv`` per mode, from one sample of the stacked tables."""
     n = tables.n_steps
-    table = tables.sample(np.arange(1, n, max(1, n // 500)) / n)
+    table = tables.sample(np.arange(1, n, artifact_stride(n)) / n)
     d = tables.dim
     header = (["t", "a_plus", "a_minus", "b_minus", "c_minus"]
               + [f"theta_plus_{i}" for i in range(d)] + [f"theta_x_{i}" for i in range(d)]
@@ -144,6 +144,8 @@ def _dump_coefficients(out_dir: Path, modes: list, tables) -> None:
 
 def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coefficients: bool = False) -> dict:
     """Run every guidance mode at one sweep point (None: the config's first) and write its artifacts."""
+    if sweep_value is None:
+        sweep_value = config.sweep_points()[0]   # still None on a config with no sweep axis
     out_dir.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
     sim_cfg = _sim_config(config, sweep_value)
@@ -161,8 +163,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
 
     modes = config.modes
     n = config.n_steps
-    stride = max(1, n // 500)
-    steps = np.arange(0, n + 1, stride)
+    steps = artifact_steps(n)   # the grid the reports keep their paths on
     t_col = ["%.6f" % t for t in (steps / n).tolist()]   # shared by the per-time files
     T = len(t_col)
 
@@ -170,7 +171,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
     _write_csv(out_dir / "energy.csv", ["t"] + [f"P_{m}" for m in modes] + [f"E_{m}" for m in modes],
                ["%s"] + ["%.8g"] * (2 * len(modes)),
                [[t_col] + [reports[m].power[np.minimum(steps, n - 1)] for m in modes]
-                + [reports[m].energy_trace[::stride] for m in modes]])
+                + [reports[m].energy_trace[steps] for m in modes]])
 
     # terminal.csv: per-component moments per mode
     rows = []
@@ -187,11 +188,11 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
                ["mode", "component", "count", "fraction", "terminal_mean", "terminal_std", "energy", "energy_stderr"],
                ["%s", "%s", "%s", "%.6f", "%s", "%s", "%s", "%s"], [list(zip(*rows))])
 
-    # trajectories.csv: the subsampled paths, one block per path
+    # trajectories.csv: the saved paths, one block per path
     _write_csv(out_dir / "trajectories.csv", ["mode", "path", "t"] + [f"x_{i}" for i in range(d)],
                ["%s", "%d", "%s"] + ["%.6g"] * d,
                ([[m] * T, [pid] * T, t_col, *path.T]
-                for m in modes for pid, path in enumerate(reports[m].trajectories[:, ::stride])))
+                for m in modes for pid, path in enumerate(reports[m].trajectories)))
 
     if d == 1:
         times, fit = _affine_fit(runs)
@@ -204,7 +205,7 @@ def _run_point(config: ExperimentConfig, sweep_value, out_dir: Path, dump_coeffi
         # the (time, zone) order of mean_trace.ravel()
         t_z = [t for t in t_col for _ in range(d)], list(range(d)) * T
         _write_csv(out_dir / "zone_means.csv", ["mode", "t", "zone", "mean"], ["%s", "%s", "%d", "%.6g"],
-                   ([[m] * (T * d), *t_z, reports[m].mean_trace[::stride].ravel()] for m in modes))
+                   ([[m] * (T * d), *t_z, reports[m].mean_trace[steps].ravel()] for m in modes))
 
     totals = {m: reports[m].total for m in config.modes}
     saving = None

@@ -24,7 +24,11 @@ Conventions:
     draw and each step's (B, d) draw are made once and shared, which is
     exactly what separate runs with the same seed would draw; every step
     writes its (M B, d) intermediates into one work array of the run and
-    the posterior's (K, M B) log-weights into another.
+    the posterior's (K, M B) log-weights into another;
+  * the artifacts' time grid (``artifact_steps``) is about 500 evenly
+    strided steps from 0, and always step n; a report keeps its sample
+    paths on that grid only, and its power, energy, mean and std traces at
+    every step.
 """
 
 from __future__ import annotations
@@ -51,14 +55,25 @@ from .schedule import PwcSchedule
 from .score import WORK_SLOTS, GaussianMixture, KernelCoeffs, ScoreContext, _contract
 
 __all__ = ["SimConfig", "EnsembleState", "EnergyReport", "GUIDANCE_MODES", "N_SAVED_PATHS",
-           "mode_guidance", "tables_for_modes", "sample_initial", "step", "run_bridge"]
+           "artifact_stride", "artifact_steps", "mode_guidance", "tables_for_modes", "sample_initial",
+           "step", "run_bridge"]
 
 # mf: the linear mean-field interpolant; ia0, iam: independent agents
 # steering to zero / to the target mean; cl: closed loop, re-centred at the
 # empirical ensemble mean
 GUIDANCE_MODES = ("mf", "ia0", "iam", "cl")
-N_SAVED_PATHS = 50   # particles per mode whose whole paths a report keeps
+N_SAVED_PATHS = 50   # particles per mode whose paths a report keeps, on the artifacts' time grid
 _SEED_MASK = (1 << 64) - 1
+
+
+def artifact_stride(n: int) -> int:
+    """The step stride of the artifacts' time grid on n steps: about 500 steps, every step for n <= 500."""
+    return max(1, n // 500)
+
+
+def artifact_steps(n: int) -> np.ndarray:
+    """The artifacts' time grid: steps 0, s, 2s, ... < n with s = ``artifact_stride(n)``, then step n."""
+    return np.append(np.arange(0, n, artifact_stride(n)), n)
 
 
 def _streams(seed: int):
@@ -375,7 +390,7 @@ class EnergyReport:
     terminal_mean: dict             # label -> (d,)
     terminal_std: dict              # label -> (d,)
     zone_energy: np.ndarray         # (d,)
-    trajectories: np.ndarray        # (n_saved, n_steps + 1, d)
+    trajectories: np.ndarray        # (n_saved, len(artifact_steps(n_steps)), d) paths on the artifacts' grid
     snapshots: dict = field(default_factory=dict)   # step time k/n, k < n -> (B, d) positions step k starts from
     drifts: dict = field(default_factory=dict)      # the same keys -> (B, d) drift step k applied
     shifts: np.ndarray | None = None                # (B, d) start points, mixture runs
@@ -450,12 +465,13 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
     closed_loop = np.array([m == "cl" for m in modes])
     closed_loop = closed_loop if closed_loop.any() else None
     n_saved = min(N_SAVED_PATHS, B)
+    path_column = {k: i for i, k in enumerate(artifact_steps(n).tolist())}   # step -> its column of the paths
     work = np.empty((WORK_SLOTS, M * B, d))
     post = np.empty((2, config.target.n_components, M * B))
     power = np.empty((M, n))
     mean_trace = np.empty((M, n + 1, d))
     std_trace = np.empty((M, n + 1, d))
-    trajectories = np.empty((M, n_saved, n + 1, d))
+    trajectories = np.empty((M, n_saved, len(path_column), d))
     # a snapshot holds the positions a step starts from and is keyed by that
     # step's time k/n, k < n; so is the drift the step applies to them
     snapshot_steps = {min(n - 1, max(0, int(round(ts * n)))) for ts in config.snapshot_times}
@@ -481,7 +497,8 @@ def run_bridge(config: SimConfig, modes: Sequence[str] = ("mf",),
             power[:, j] = np.subtract(energy, prev_energy, out=gained).sum(axis=1) / B / dt
             prev_energy[...] = energy
             mean_trace[:, j + 1], std_trace[:, j + 1] = _mean_std(by_mode, work[0])
-            trajectories[:, :, j + 1] = by_mode[:, :n_saved]
+            if j + 1 in path_column:
+                trajectories[:, :, path_column[j + 1]] = by_mode[:, :n_saved]
         loop_s = time.perf_counter() - t_loop
     # a finite drift past about 1e154 overflows its square, which the position scan misses
     if not np.isfinite(state.energy).all():

@@ -22,6 +22,7 @@ from mfbridge.presets import (
     preset,
     validate_config,
 )
+from mfbridge.simulate import artifact_steps
 
 
 def test_preset_scenario_a_values():
@@ -450,13 +451,29 @@ def test_trajectories_csv_rows_match_the_report(tmp_path, name, value):
     with open(tmp_path / "trajectories.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert raw.count(b"\r\n") == raw.count(b"\n") == len(rows)
-    ts = np.arange(cfg.n_steps + 1) / cfg.n_steps
-    stride = 2  # the file keeps every (n_steps // 500)-th step
+    # the report keeps the paths on the artifacts' grid, one row per grid step
+    ts = artifact_steps(cfg.n_steps) / cfg.n_steps
     want = [[m, str(pid), f"{t:.6f}", *(f"{v:.6g}" for v in x)]
             for m, rep in zip(cfg.modes, reports)
             for pid, path in enumerate(rep.trajectories)
-            for t, x in zip(ts[::stride], path[::stride])]
+            for t, x in zip(ts, path, strict=True)]
     assert rows[1:] == want
+
+
+def test_artifacts_end_at_t_1_when_the_stride_does_not_divide_the_steps(tmp_path):
+    # 1001 steps take stride 2: the grid is 0, 2, ..., 1000 and then 1001
+    out = tmp_path / "odd"
+    assert main(["bridge", "--preset", "scenario-b", "--particles", "200", "--steps", "1001",
+                 "--modes", "mf,ia0", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "energy.csv", newline="") as fh:
+        energy = list(csv.DictReader(fh))
+    with open(out / "trajectories.csv", newline="") as fh:
+        paths = list(csv.DictReader(fh))
+    assert len(energy) == 502
+    assert energy[-1]["t"] == paths[-1]["t"] == "1.000000"
+    for m in ("mf", "ia0"):
+        assert energy[-1][f"E_{m}"] == "%.8g" % summary["totals"][m]
 
 
 def test_cli_guidance_check_solves_the_map_without_a_particle_run(tmp_path, monkeypatch):
@@ -544,6 +561,10 @@ def test_bridge_on_a_sweep_preset_runs_its_first_point(tmp_path, name):
     point = json.loads((tmp_path / "sweep" / cfg.point_tag(first) / "summary.json").read_text())
     assert {m: v.hex() for m, v in bridge["totals"].items()} == {m: v.hex() for m, v in point["totals"].items()}
     assert bridge["d"] == point["d"] == cfg.mixtures(first)[1].dim
+    # both name the point they ran
+    want = {"d-sweep": 1, "k-sweep": 2, "ar-sweep": 0.0}[name]
+    for value in (bridge["sweep_value"], point["sweep_value"]):
+        assert (value, type(value)) == (want, type(want))
     # the generated sweeps build both endpoints themselves
     assert (bridge["config"]["target"] is None) == (name != "ar-sweep")
 

@@ -422,6 +422,31 @@ def test_snapshots_recorded():
     assert np.all(rep.snapshots[0.0] == 0.0)
 
 
+@pytest.mark.parametrize("n, points", [(10, 11), (500, 501), (1000, 501), (1001, 502), (5000, 501)])
+def test_paths_are_kept_on_the_artifacts_grid(n, points):
+    # every step up to 500 steps; past that about 500 strided steps, and always step n
+    steps = simulate.artifact_steps(n)
+    assert len(steps) == points
+    assert steps[0] == 0 and steps[-1] == n
+    assert np.all(np.diff(steps)[:-1] == simulate.artifact_stride(n))
+    rep = run_bridge(small_config(n_particles=3, n_steps=n))[0]
+    assert rep.trajectories.shape == (3, points, 1)
+    assert rep.power.shape == (n,) and rep.mean_trace.shape == rep.std_trace.shape == (n + 1, 1)
+
+
+def test_kept_paths_are_the_positions_at_their_grid_steps():
+    initial = GaussianMixture.isotropic([0.6, 0.4], [1.5, 5.5], [0.5, 0.7])
+    n = 1000
+    s = simulate.artifact_stride(n)
+    ks = (0, 2, 300, 998)
+    cfg = small_config(initial=initial, n_particles=60, n_steps=n, snapshot_times=tuple(k / n for k in ks))
+    for rep in run_bridge(cfg, ["mf", "cl"]):
+        n_saved = rep.trajectories.shape[0]
+        assert n_saved == simulate.N_SAVED_PATHS
+        for k in ks:
+            assert np.array_equal(rep.trajectories[:, k // s], rep.snapshots[k / n][:n_saved]), k
+
+
 def test_recorded_drifts_are_the_ones_each_step_applied():
     # each snapshot step k < n keeps the drift step k evaluated at the
     # snapshot's positions: the run's own step row, its shifts and, for cl,
